@@ -424,8 +424,7 @@ impl AttrHists {
 /// per-direction attribution histograms.
 ///
 /// Components hold it through a [`SharedTracer`] handle, which routes
-/// every stamp to a per-shard partition so concurrent execution domains
-/// never contend on one table.
+/// every stamp to a per-shard partition.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     live: HashMap<TxnKey, TxnRecord, BuildKeyHasher>,
@@ -440,24 +439,21 @@ pub struct Tracer {
 
 /// Shared, thread-safe handle to a partitioned [`Tracer`].
 ///
-/// The side-table is split into one partition per execution domain (shard),
+/// The side-table is split into one partition per fabric shard,
 /// keyed by the *issuing master*: master `m` stamps into partition
 /// `m / masters_per_part`. Every lifecycle stamp of one transaction —
 /// ingress, lateral hops, MC enqueue, DRAM issue, delivery — carries the
 /// issuing master, so a transaction lives its whole life in one partition
-/// no matter which shard touches it. Partitioning is fixed at construction
-/// (always one partition per fabric shard, regardless of the run policy),
-/// which keeps traced runs bit-identical between sequential and parallel
-/// execution:
+/// no matter which shard touches it. Partitioning is fixed at
+/// construction:
 ///
-/// * a partition's `done` log is appended only by the domain that owns the
-///   issuing masters, in that domain's deterministic delivery order;
-/// * cross-domain stamps (a lateral hop recorded by a transit shard) mutate
-///   only the transaction's own record, so their arrival order across
-///   domains is irrelevant;
+/// * a partition's `done` log holds the deliveries of its own masters, in
+///   deterministic delivery order;
+/// * cross-shard stamps (a lateral hop recorded by a transit shard) mutate
+///   only the transaction's own record;
 /// * [`SharedTracer::snapshot`] merges the partitions into one [`Tracer`]
 ///   whose record order — stable-sorted by `(delivered_at, master)` — is
-///   exactly the old monolithic delivery order.
+///   the monolithic delivery order.
 ///
 /// The retained-record cap applies *per partition*.
 #[derive(Debug, Clone)]

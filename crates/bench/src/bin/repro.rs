@@ -9,6 +9,7 @@
 //! repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--no-cache]
 //!             [--metrics-addr HOST:PORT] [--span-log FILE]
 //! repro xvalidate [--quick] [--json] [--smoke] [--out PATH] [--jobs N]
+//! repro --help
 //!
 //! EXPERIMENT: fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5
 //!             latency ablations simspeed trace profile xvalidate all
@@ -43,6 +44,9 @@
 //!             for overhead testing.
 //! ```
 //!
+//! An unknown flag or experiment name prints usage to stderr and exits
+//! 2; `--help` prints usage to stdout and exits 0.
+//!
 //! `simspeed`, `trace`, `profile`, and `xvalidate` are not part of
 //! `all`: they inspect the *simulator* rather than reproducing the
 //! paper. `xvalidate` fits the analytical tier's calibration against
@@ -56,8 +60,8 @@
 //! be diffed; `trace` writes `TRACE_events.json` (Chrome trace-event
 //! JSON, loadable in Perfetto) and `TRACE_probes.jsonl` (windowed
 //! time-series snapshots) and prints the latency-attribution tables;
-//! `profile` prints the kernel phase-attribution tables (scalar and
-//! lockstep) with observer and metrics overhead — `--smoke` asserts the
+//! `profile` prints the kernel phase-attribution table with observer
+//! and metrics overhead — `--smoke` asserts the
 //! telescoping self-consistency invariant and the <5 % metrics-overhead
 //! budget.
 //!
@@ -76,6 +80,116 @@
 
 use hbm_bench::render;
 use hbm_core::experiment::{self, Fidelity};
+
+/// The synopsis printed by `--help` and on any argument error.
+const USAGE: &str = "\
+usage: repro [EXPERIMENT ...] [--quick] [--fidelity TIER] [--adaptive]
+             [--json] [--smoke] [--jobs N] [--cache-dir DIR] [--no-cache]
+             [--metrics]
+       repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--no-cache]
+                   [--metrics-addr HOST:PORT] [--span-log FILE]
+       repro xvalidate [--quick] [--json] [--smoke] [--out PATH] [--jobs N]
+       repro --help
+
+EXPERIMENT: fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5
+            latency ablations simspeed trace profile xvalidate all
+            (default: all)";
+
+/// Every positional `repro` accepts: the experiments plus `serve`.
+const VERBS: &[&str] = &[
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "latency",
+    "ablations",
+    "simspeed",
+    "trace",
+    "profile",
+    "xvalidate",
+    "all",
+    "serve",
+];
+
+/// Flags that take no value.
+const SWITCHES: &[&str] =
+    &["--quick", "--json", "--smoke", "--no-cache", "--metrics", "--adaptive"];
+
+/// Flags that take a value, as `--flag V` or `--flag=V`.
+const VALUE_FLAGS: &[&str] = &[
+    "--fidelity",
+    "--out",
+    "--jobs",
+    "--cache-dir",
+    "--addr",
+    "--queue",
+    "--metrics-addr",
+    "--span-log",
+];
+
+/// Prints `msg` and the usage to stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The command line, checked against [`VERBS`], [`SWITCHES`] and
+/// [`VALUE_FLAGS`]. Values are validated later, by their consumers.
+struct Cli {
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+    verbs: Vec<String>,
+}
+
+impl Cli {
+    /// Parses `args`, exiting 0 on `--help` and 2 on anything unknown.
+    fn parse(args: &[String]) -> Cli {
+        let mut cli = Cli { switches: Vec::new(), values: Vec::new(), verbs: Vec::new() };
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            if a == "--help" || a == "-h" {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            if let Some(&flag) = SWITCHES.iter().find(|&&f| f == a) {
+                cli.switches.push(flag);
+            } else if a.starts_with('-') {
+                let (name, inline) = match a.split_once('=') {
+                    Some((name, v)) => (name, Some(v.to_string())),
+                    None => (a.as_str(), None),
+                };
+                let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == name) else {
+                    usage_error(&format!("unknown flag {a:?}"));
+                };
+                let value = inline.or_else(|| rest.next().cloned()).unwrap_or_else(|| {
+                    usage_error(&format!("{flag} requires a value"));
+                });
+                cli.values.push((flag, value));
+            } else if VERBS.contains(&a.as_str()) {
+                cli.verbs.push(a.clone());
+            } else {
+                usage_error(&format!("unknown experiment {a:?}"));
+            }
+        }
+        cli
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+}
 
 fn emit_json(name: &str, rows: impl serde::Serialize) {
     println!("{}", serde_json::json!({ "experiment": name, "rows": rows }));
@@ -129,8 +243,6 @@ fn run_simspeed(quick: bool, json: bool) {
     use hbm_bench::{profilecmd, simspeed};
     let rows = simspeed::run_matrix(quick);
     let sweeps = simspeed::run_sweep_matrix(quick);
-    let conductor = simspeed::run_conductor_matrix(quick);
-    let batched = simspeed::run_batched_matrix(quick);
     let serve = simspeed::run_serve_overhead(quick);
     let cache = simspeed::run_cache_matrix(quick);
     let analytical = simspeed::run_analytical_matrix(quick);
@@ -140,8 +252,6 @@ fn run_simspeed(quick: bool, json: bool) {
         "host_threads": hbm_core::batch::default_threads(),
         "rows": rows,
         "sweeps": sweeps,
-        "conductor": conductor,
-        "batched": batched,
         "serve": serve,
         "serve_overhead_pct": serve.serve_overhead_pct,
         "cache": cache,
@@ -160,8 +270,6 @@ fn run_simspeed(quick: bool, json: bool) {
     } else {
         println!("{}", simspeed::render(&rows));
         println!("{}", simspeed::render_sweeps(&sweeps));
-        println!("{}", simspeed::render_conductor(&conductor));
-        println!("{}", simspeed::render_batched(&batched));
         println!("{}", simspeed::render_serve(&serve));
         println!("{}", simspeed::render_cache(&cache));
         println!("{}", simspeed::render_analytical(&analytical));
@@ -170,21 +278,20 @@ fn run_simspeed(quick: bool, json: bool) {
     }
 }
 
-/// Profiles both kernels and prints the phase-attribution report.
+/// Profiles the kernel and prints the phase-attribution report.
 /// `--smoke` is the CI gate: it asserts the telescoping self-consistency
-/// invariant (phase sums ≡ measured loop time) for both kernels and the
-/// metrics-registry overhead budget.
+/// invariant (phase sums ≡ measured loop time) and the metrics-registry
+/// overhead budget.
 fn run_profile(quick: bool, json: bool, smoke: bool) {
     use hbm_bench::profilecmd;
     // Smoke always runs quick-sized windows — it gates CI, not numbers.
     let out = profilecmd::run_profile(quick || smoke);
     if smoke {
         assert!(
-            out.scalar.report.consistent() && out.lockstep.report.consistent(),
+            out.scalar.report.consistent(),
             "phase attribution must telescope to the measured loop time"
         );
         assert!(out.scalar.report.laps > 0, "scalar kernel recorded no laps");
-        assert!(out.lockstep.report.laps > 0, "lockstep kernel recorded no laps");
         assert!(
             out.metrics.overhead_pct < 5.0,
             "metrics registry overhead {:.2}% breaches the 5% budget",
@@ -199,52 +306,24 @@ fn run_profile(quick: bool, json: bool, smoke: bool) {
     } else {
         println!("{}", profilecmd::render(&out));
         if smoke {
-            println!("profile smoke: OK (both kernels consistent, metrics overhead in budget)");
+            println!("profile smoke: OK (kernel consistent, metrics overhead in budget)");
         }
     }
 }
 
 /// Runs the sweep-serving daemon until a client sends `shutdown`.
-fn run_serve(args: &[String]) {
+fn run_serve(cli: &Cli) {
     use hbm_serve::{MetricsExposer, ServeConfig, Server, WireServer};
 
-    let mut addr = String::from("127.0.0.1:7070");
-    let mut queue_capacity = 4_096usize;
-    let mut metrics_addr: Option<String> = None;
-    let mut span_log: Option<std::path::PathBuf> = None;
-    let mut skip_next = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        let flag_value = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("{name} requires a value");
-                    std::process::exit(2);
-                }))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
-        if let Some(v) = flag_value("--addr") {
-            skip_next = a == "--addr";
-            addr = v;
-        } else if let Some(v) = flag_value("--queue") {
-            skip_next = a == "--queue";
-            queue_capacity = v.parse().unwrap_or_else(|_| {
-                eprintln!("--queue: invalid point count {v:?}");
-                std::process::exit(2);
-            });
-        } else if let Some(v) = flag_value("--metrics-addr") {
-            skip_next = a == "--metrics-addr";
-            metrics_addr = Some(v);
-        } else if let Some(v) = flag_value("--span-log") {
-            skip_next = a == "--span-log";
-            span_log = Some(std::path::PathBuf::from(v));
-        }
-    }
+    let addr = cli.value("--addr").unwrap_or("127.0.0.1:7070").to_string();
+    let queue_capacity = cli.value("--queue").map_or(4_096, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--queue: invalid point count {v:?}");
+            std::process::exit(2);
+        })
+    });
+    let metrics_addr = cli.value("--metrics-addr");
+    let span_log = cli.value("--span-log").map(std::path::PathBuf::from);
 
     let workers = hbm_core::batch::sweep_jobs();
     let server =
@@ -254,7 +333,7 @@ fn run_serve(args: &[String]) {
         std::process::exit(1);
     });
     let exposer = metrics_addr.map(|a| {
-        MetricsExposer::bind(&a).unwrap_or_else(|e| {
+        MetricsExposer::bind(a).unwrap_or_else(|e| {
             eprintln!("serve: cannot bind metrics listener {a}: {e}");
             std::process::exit(1);
         })
@@ -301,16 +380,6 @@ fn parse_jobs_or_die(v: &str) -> usize {
     hbm_core::batch::parse_jobs(v).unwrap_or_else(|e| {
         eprintln!("--jobs: {e}");
         eprintln!("usage: --jobs N (N a positive integer)");
-        std::process::exit(2);
-    })
-}
-
-/// Parses a `--batch` value through the shared validator, exiting loudly
-/// on anything that is not a positive lane count, `0`, or `off`.
-fn parse_batch_or_die(v: &str) -> usize {
-    hbm_core::batch::parse_batch(v).unwrap_or_else(|e| {
-        eprintln!("--batch: {e}");
-        eprintln!("usage: --batch N|off (lockstep lanes per batch)");
         std::process::exit(2);
     })
 }
@@ -397,88 +466,26 @@ fn report_cache() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    if args.iter().any(|a| a == "--metrics") {
+    let cli = Cli::parse(&args);
+    let quick = cli.has("--quick");
+    let json = cli.has("--json");
+    let smoke = cli.has("--smoke");
+    let no_cache = cli.has("--no-cache");
+    if cli.has("--metrics") {
         hbm_core::metrics::set_enabled(true);
     }
-    let mut jobs_value: Option<usize> = None;
-    let mut batch_value: Option<usize> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut fidelity_value: Option<Fidelity> = None;
-    let mut out_path: Option<String> = None;
-    let mut skip_next = false;
-    let mut positional: Vec<&str> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--fidelity" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--fidelity requires a tier");
-                eprintln!("usage: --fidelity quick|full|analytical");
-                std::process::exit(2);
-            });
-            fidelity_value = Some(parse_fidelity_or_die(v));
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--fidelity=") {
-            fidelity_value = Some(parse_fidelity_or_die(v));
-        } else if a == "--out" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--out requires a path");
-                std::process::exit(2);
-            });
-            out_path = Some(v.clone());
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out_path = Some(v.to_string());
-        } else if a == "--jobs" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--jobs requires a thread count");
-                eprintln!("usage: --jobs N (N a positive integer)");
-                std::process::exit(2);
-            });
-            jobs_value = Some(parse_jobs_or_die(v));
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs_value = Some(parse_jobs_or_die(v));
-        } else if a == "--batch" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--batch requires a lane count");
-                eprintln!("usage: --batch N|off (lockstep lanes per batch)");
-                std::process::exit(2);
-            });
-            batch_value = Some(parse_batch_or_die(v));
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--batch=") {
-            batch_value = Some(parse_batch_or_die(v));
-        } else if a == "--cache-dir" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--cache-dir requires a directory");
-                std::process::exit(2);
-            });
-            cache_dir = Some(v.clone());
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--cache-dir=") {
-            cache_dir = Some(v.to_string());
-        } else if !a.starts_with("--") {
-            positional.push(a.as_str());
-        }
-    }
+    let fidelity_value = cli.value("--fidelity").map(parse_fidelity_or_die);
+    let jobs_value = cli.value("--jobs").map(parse_jobs_or_die);
+    let cache_dir = cli.value("--cache-dir");
+    let out_path = cli.value("--out");
     // --fidelity wins over --quick; --adaptive turns every run_all grid
     // into an analytical-first multi-fidelity sweep.
     let fid = fidelity_value.unwrap_or(if quick { Fidelity::QUICK } else { Fidelity::FULL });
-    if args.iter().any(|a| a == "--adaptive") {
+    if cli.has("--adaptive") {
         hbm_core::experiment::set_adaptive(true);
     }
     if let Some(jobs) = jobs_value {
         hbm_core::batch::set_sweep_jobs(jobs);
-    }
-    if let Some(lanes) = batch_value {
-        hbm_core::batch::set_batch_lanes(lanes);
     }
     // Cache policy: --no-cache wins over everything; --cache-dir enables
     // the global cache with a disk tier (HBM_CACHE_DIR already did the
@@ -490,16 +497,19 @@ fn main() {
         cache.set_dir(dir);
         cache.enable();
     }
-    if positional.first() == Some(&"serve") {
+    if cli.verbs.iter().any(|v| v == "serve") {
+        if cli.verbs.len() > 1 {
+            usage_error("serve takes no experiments");
+        }
         // The daemon defaults the memory-tier cache on: repeated or
         // overlapping client grids are exactly what it exists to absorb.
         if !no_cache {
             cache.enable();
         }
-        run_serve(&args);
+        run_serve(&cli);
         return;
     }
-    let mut wanted: Vec<&str> = positional;
+    let mut wanted: Vec<&str> = cli.verbs.iter().map(String::as_str).collect();
     if wanted.is_empty() {
         wanted.push("all");
     }
@@ -509,7 +519,7 @@ fn main() {
     // Simulator benchmarking, tracing, profiling, and calibration
     // cross-validation are opt-in only (not part of `all`).
     if wanted.contains(&"xvalidate") {
-        run_xvalidate(fid, json, smoke, out_path.as_deref());
+        run_xvalidate(fid, json, smoke, out_path);
         if wanted.len() == 1 {
             report_cache();
             return;

@@ -1,14 +1,12 @@
-//! `repro profile` — per-phase wall-time attribution of both kernels.
+//! `repro profile` — per-phase wall-time attribution of the kernel.
 //!
-//! Wraps [`hbm_core::measure::measure`] (scalar) and
-//! [`hbm_core::lockstep::measure_batch`] (lockstep) in a
-//! [`hbm_core::profile`] window and reports where the loop time went:
-//! gens-tick, fabric-tick, MC-tick, horizon-compute, queue-ops, and
-//! lockstep-reconcile. The telescoping-lap design guarantees the phase
-//! sums equal the measured window to the nanosecond
-//! ([`PhaseReport::consistent`]); `--smoke` asserts it.
+//! Wraps [`hbm_core::measure::measure`] in a [`hbm_core::profile`]
+//! window and reports where the loop time went: gens-tick, fabric-tick,
+//! MC-tick, horizon-compute and queue-ops. The telescoping-lap design
+//! guarantees the phase sums equal the measured window to the
+//! nanosecond ([`PhaseReport::consistent`]); `--smoke` asserts it.
 //!
-//! Each kernel is also timed *unprofiled* (best-of-N, same warm-up
+//! The kernel is also timed *unprofiled* (best-of-N, same warm-up
 //! discipline as `simspeed`) so the report carries an honest
 //! `observer_overhead_pct` — the cost of the `Instant::now()` stamps
 //! themselves. A metrics-overhead pair (same grid with the registry
@@ -16,12 +14,12 @@
 
 use std::time::Instant;
 
-use hbm_core::profile::{self, Kernel, PhaseReport, PHASES};
+use hbm_core::profile::{self, PhaseReport, PHASES};
 use hbm_core::{metrics, SystemConfig};
 use hbm_traffic::Workload;
 use serde_json::Value;
 
-/// One kernel's profiled window plus the unprofiled reference timing.
+/// The kernel's profiled window plus the unprofiled reference timing.
 #[derive(Debug, Clone)]
 pub struct ProfiledKernel {
     /// The phase attribution (self-consistent by construction).
@@ -55,8 +53,6 @@ pub struct MetricsOverhead {
 pub struct ProfileOut {
     /// The scalar kernel (`HbmSystem::run`) window.
     pub scalar: ProfiledKernel,
-    /// The lockstep batched kernel window.
-    pub lockstep: ProfiledKernel,
     /// Registry on/off cost over a sweep grid.
     pub metrics: MetricsOverhead,
 }
@@ -73,19 +69,18 @@ fn wall_best_of<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     best
 }
 
-/// Profiles one kernel: unprofiled best-of-N reference, then one
+/// Profiles the kernel: unprofiled best-of-N reference, then one
 /// profiled window on the same thread.
-fn profile_kernel<F: FnMut()>(kernel: Kernel, repeats: usize, mut run: F) -> ProfiledKernel {
+fn profile_kernel<F: FnMut()>(repeats: usize, mut run: F) -> ProfiledKernel {
     let plain_wall_s = wall_best_of(repeats, &mut run);
     // One profiled window. A single pass (not best-of) keeps the
     // attribution and the reported wall time the same measurement; the
     // reference above already absorbed warm-up effects.
-    profile::begin(kernel);
+    profile::begin();
     let t0 = Instant::now();
     run();
     let profiled_wall_s = t0.elapsed().as_secs_f64();
     let report = profile::end();
-    assert_eq!(report.kernel, kernel);
     ProfiledKernel {
         report,
         plain_wall_s,
@@ -101,26 +96,16 @@ pub fn run_profile(quick: bool) -> ProfileOut {
     let cfg = SystemConfig::xilinx();
     let wl = Workload::scs();
 
-    let scalar = profile_kernel(Kernel::Scalar, repeats, || {
+    let scalar = profile_kernel(repeats, || {
         let _ = hbm_core::measure::measure(&cfg, wl, warmup, cycles);
     });
-
-    // Four lanes with distinct rotations: enough divergence that the
-    // reconcile path (cross-lane min-horizon folds) actually runs.
-    let lanes: Vec<Workload> =
-        [0usize, 1, 2, 4].iter().map(|&r| Workload { rotation: r, ..wl }).collect();
-    let lockstep = profile_kernel(Kernel::Lockstep, repeats, || {
-        let _ = hbm_core::lockstep::measure_batch(&cfg, &lanes, warmup, cycles);
-    });
-
-    ProfileOut { scalar, lockstep, metrics: metrics_overhead(quick) }
+    ProfileOut { scalar, metrics: metrics_overhead(quick) }
 }
 
 /// Times the Fig. 4 grid with the metric registry enabled vs disabled
-/// (cache pinned off, one worker — same isolation discipline as the
-/// batched matrix). The true cost is a handful of atomic adds per
-/// *measurement* — far below timing noise on a short run — so the
-/// rounds interleave the two sides in ABBA order with best-of-N on each
+/// (cache pinned off, one worker). The true cost is a handful of atomic
+/// adds per *measurement* — far below timing noise on a short run — so
+/// the rounds interleave the two sides in ABBA order with best-of-N on each
 /// (the `run_serve_overhead` discipline) to cancel clock drift rather
 /// than report it as overhead. Restores the registry to its prior
 /// enabled state.
@@ -165,7 +150,7 @@ pub fn metrics_overhead(quick: bool) -> MetricsOverhead {
     }
 }
 
-/// One kernel's JSON object: the [`PhaseReport`] fields plus the wall
+/// The kernel's JSON object: the [`PhaseReport`] fields plus the wall
 /// timings and observer overhead.
 fn kernel_json(k: &ProfiledKernel) -> Value {
     let Value::Map(mut fields) = k.report.to_json() else {
@@ -185,23 +170,19 @@ fn kernel_json(k: &ProfiledKernel) -> Value {
 pub fn to_json(out: &ProfileOut) -> Value {
     serde_json::json!({
         "scalar": kernel_json(&out.scalar),
-        "lockstep": kernel_json(&out.lockstep),
         "metrics_overhead_pct": out.metrics.overhead_pct,
         "metrics_plain_wall_s": out.metrics.plain_wall_s,
         "metrics_wall_s": out.metrics.metrics_wall_s,
     })
 }
 
-/// Renders one kernel's attribution as an aligned text table.
+/// Renders the kernel's attribution as an aligned text table.
 fn render_kernel(k: &ProfiledKernel) -> String {
     let r = &k.report;
     let mut out = format!(
-        "{} kernel: {:.6} s profiled ({} laps, observer overhead {:+.1}%)\n\
+        "scalar kernel: {:.6} s profiled ({} laps, observer overhead {:+.1}%)\n\
          phase                        ns    share\n",
-        r.kernel.name(),
-        k.profiled_wall_s,
-        r.laps,
-        k.observer_overhead_pct,
+        k.profiled_wall_s, r.laps, k.observer_overhead_pct,
     );
     for p in PHASES {
         out.push_str(&format!(
@@ -225,11 +206,10 @@ pub fn render(out: &ProfileOut) -> String {
     format!(
         "Kernel phase profile (telescoping laps: phase sums equal measured\n\
          loop time exactly; see DESIGN.md §3.7)\n\n\
-         {}\n{}\n\
+         {}\n\
          Metrics registry overhead (fig4 grid, registry on vs off):\n\
          {:.6} s off, {:.6} s on ({:+.2}%)\n",
         render_kernel(&out.scalar),
-        render_kernel(&out.lockstep),
         out.metrics.plain_wall_s,
         out.metrics.metrics_wall_s,
         out.metrics.overhead_pct,
@@ -244,13 +224,6 @@ mod tests {
     fn quick_profile_is_consistent() {
         let out = run_profile(true);
         assert!(out.scalar.report.consistent());
-        assert!(out.lockstep.report.consistent());
-        assert_eq!(out.scalar.report.kernel, Kernel::Scalar);
-        assert_eq!(out.lockstep.report.kernel, Kernel::Lockstep);
-        // The scalar kernel never touches the reconcile path; the
-        // lockstep kernel must.
-        assert_eq!(out.scalar.report.ns(profile::Phase::LockstepReconcile), 0);
-        assert!(out.lockstep.report.ns(profile::Phase::LockstepReconcile) > 0);
         assert!(out.scalar.report.laps > 0);
     }
 
@@ -259,7 +232,6 @@ mod tests {
         let out = run_profile(true);
         let v = to_json(&out);
         let scalar = v.get("scalar").expect("scalar section");
-        assert!(matches!(scalar.get("kernel"), Some(Value::Str(s)) if s == "scalar"));
         assert!(scalar.get("plain_wall_s").is_some());
         assert!(scalar.get("observer_overhead_pct").is_some());
         assert!(v.get("metrics_overhead_pct").is_some());

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use hbm_axi::BurstLen;
 use hbm_core::probe::ProbeConfig;
-use hbm_core::{HbmSystem, RunPolicy, SystemConfig};
+use hbm_core::{HbmSystem, SystemConfig};
 use hbm_traffic::{RwRatio, Workload};
 use serde::Serialize;
 
@@ -226,62 +226,6 @@ pub fn run_sweep_matrix(quick: bool) -> Vec<SweepRow> {
         .collect()
 }
 
-/// One measured parallel-conductor cell: a single simulation advanced
-/// under `RunPolicy::Parallel { jobs }` vs the sequential reference.
-#[derive(Debug, Clone, Serialize)]
-pub struct ConductorRow {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Worker threads (1 = the sequential reference path).
-    pub jobs: usize,
-    /// Simulated cycles covered by one run.
-    pub sim_cycles: u64,
-    /// Best-of-N wall time for one run, in seconds.
-    pub wall_s: f64,
-    /// Wall-clock speedup over the sequential run of the same scenario.
-    pub speedup: f64,
-}
-
-/// Times a single saturated Xilinx simulation under the sharded
-/// conductor at 1/2/4 worker threads. `scs_port_affine` never touches a
-/// lateral bus, so the conductor sprints full-span windows — the
-/// best case for in-run threading. `rotation4_lateral` saturates the
-/// lateral boundaries, forcing a barrier every `sync_lag` cycles — the
-/// worst case, expected at or below 1× (the result is still
-/// bit-identical; the threading merely doesn't pay there).
-pub fn run_conductor_matrix(quick: bool) -> Vec<ConductorRow> {
-    let cycles = if quick { 5_000 } else { 40_000 };
-    let repeats = if quick { 1 } else { 3 };
-    let mut rows = Vec::new();
-    for (scenario, wl) in [
-        ("scs_port_affine", Workload::scs()),
-        ("rotation4_lateral", Workload { rotation: 4, ..Workload::scs() }),
-    ] {
-        let mut base = f64::NAN;
-        for jobs in [1usize, 2, 4] {
-            let (sim_cycles, wall_s) = wall_best_of(repeats, || {
-                let mut sys = HbmSystem::new(&SystemConfig::xilinx(), wl, None);
-                if jobs > 1 {
-                    sys.set_run_policy(RunPolicy::Parallel { jobs });
-                }
-                sys.run(cycles);
-                sys.now()
-            });
-            if jobs == 1 {
-                base = wall_s;
-            }
-            rows.push(ConductorRow {
-                scenario,
-                jobs,
-                sim_cycles,
-                wall_s,
-                speedup: base / wall_s.max(1e-12),
-            });
-        }
-    }
-    rows
-}
-
 /// The serving-layer overhead measurement: the same fig4 grid timed
 /// through the direct `run_grid` path and through a full serve round
 /// trip (submit over loopback TCP, stream the rows back, reassemble by
@@ -407,101 +351,6 @@ pub fn run_serve_overhead(quick: bool) -> ServeOverheadRow {
     }
 }
 
-/// One measured lockstep-batching cell: the fig4 grid run through the
-/// scalar path and through [`hbm_core::lockstep::BatchedSystem`] lanes
-/// at one lane budget.
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchedRow {
-    /// Grid measured (the Fig. 4 rotation × burst grid).
-    pub grid: &'static str,
-    /// Lockstep lane budget (`HBM_BATCH` equivalent) for the batched
-    /// run; the scalar reference pins the budget to 1.
-    pub lanes: usize,
-    /// Grid points measured.
-    pub points: usize,
-    /// Scalar-path throughput in sweep points per wall-second.
-    pub scalar_pts_per_s: f64,
-    /// Batched-path throughput in sweep points per wall-second.
-    pub batched_pts_per_s: f64,
-    /// `batched_pts_per_s / scalar_pts_per_s`.
-    pub speedup: f64,
-    /// Whether every batched row serialised byte-identical to its
-    /// scalar counterpart (asserted — recorded so the JSON artefact
-    /// carries the proof).
-    pub byte_identical: bool,
-}
-
-/// Times the Fig. 4 grid through the scalar path (lane budget 1) and
-/// through lockstep batches at lane budgets 4, 8, and 16, on a single
-/// worker thread so the ratio isolates the batched kernel from thread
-/// scheduling. Every batched row is asserted byte-identical to the
-/// scalar reference before any number is reported. The result cache is
-/// pinned off on both sides — this measures simulation, not memoisation.
-pub fn run_batched_matrix(quick: bool) -> Vec<BatchedRow> {
-    use hbm_core::batch::set_batch_lanes;
-
-    let (warmup, cycles) = if quick { (500, 1_500) } else { (2_000, 8_000) };
-    let repeats = if quick { 1 } else { 3 };
-    let grid = hbm_core::experiment::fig4_grid();
-    let no_cache = hbm_core::ResultCache::disabled();
-    let run = |lanes: usize| {
-        set_batch_lanes(lanes);
-        let mut best = f64::INFINITY;
-        let mut rows = Vec::new();
-        for _ in 0..=repeats {
-            // First pass is untimed warm-up (allocator growth, caches).
-            let t0 = Instant::now();
-            rows = hbm_core::batch::run_grid_with_cache(&grid, warmup, cycles, 1, &no_cache);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        (rows, best)
-    };
-
-    let (scalar_rows, scalar_wall) = run(1);
-    let scalar_pts_per_s = grid.len() as f64 / scalar_wall.max(1e-12);
-    let out = [4usize, 8, 16]
-        .iter()
-        .map(|&lanes| {
-            let (batched_rows, batched_wall) = run(lanes);
-            for (i, (b, s)) in batched_rows.iter().zip(&scalar_rows).enumerate() {
-                assert_eq!(
-                    serde_json::to_string(b).unwrap(),
-                    serde_json::to_string(s).unwrap(),
-                    "batched row {i} diverged from the scalar path at {lanes} lanes"
-                );
-            }
-            let batched_pts_per_s = grid.len() as f64 / batched_wall.max(1e-12);
-            BatchedRow {
-                grid: "fig4",
-                lanes,
-                points: grid.len(),
-                scalar_pts_per_s,
-                batched_pts_per_s,
-                speedup: batched_pts_per_s / scalar_pts_per_s.max(1e-12),
-                byte_identical: true,
-            }
-        })
-        .collect();
-    set_batch_lanes(0);
-    out
-}
-
-/// Renders the lockstep-batching section as an aligned text table.
-pub fn render_batched(rows: &[BatchedRow]) -> String {
-    let mut out = String::from(
-        "Lockstep batching (fig4 grid, one worker thread: scalar path vs\n\
-         K-lane batches; batched rows proven byte-identical to scalar)\n\
-         grid   lanes  points  scalar_pts/s  batched_pts/s   speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<6} {:>5} {:>7} {:>13.2} {:>14.2} {:>8.2}x\n",
-            r.grid, r.lanes, r.points, r.scalar_pts_per_s, r.batched_pts_per_s, r.speedup
-        ));
-    }
-    out
-}
-
 /// One cold/warm pair through the result cache: the fig4 grid run twice
 /// against the same (memory-tier) [`hbm_core::ResultCache`].
 #[derive(Debug, Clone, Serialize)]
@@ -598,22 +447,6 @@ pub fn render_sweeps(rows: &[SweepRow]) -> String {
         out.push_str(&format!(
             "{:>6} {:>5} {:>11.6} {:>8.2}x\n",
             r.points, r.jobs, r.wall_s, r.speedup
-        ));
-    }
-    out
-}
-
-/// Renders the parallel-conductor section as an aligned text table.
-pub fn render_conductor(rows: &[ConductorRow]) -> String {
-    let mut out = String::from(
-        "Parallel conductor (one simulation, sharded across threads;\n\
-         bit-identical to sequential by construction)\n\
-         scenario            jobs  sim_cycles      wall_s   speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<19} {:>4} {:>11} {:>11.6} {:>8.2}x\n",
-            r.scenario, r.jobs, r.sim_cycles, r.wall_s, r.speedup
         ));
     }
     out

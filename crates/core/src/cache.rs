@@ -156,23 +156,6 @@ pub fn fingerprint_calibrated(
     Fingerprint((u128::from(hi) << 64) | u128::from(lo))
 }
 
-/// A structural fingerprint of the *topology* alone — the
-/// [`SystemConfig`] without any workload or fidelity — under the same
-/// canonicalisation as [`fingerprint`]. Two grid points with equal
-/// topology keys share fabric geometry, controller timing, and clock,
-/// differing only in what traffic they run; the batch planner
-/// (`hbm_core::batch`) groups such points into one lockstep
-/// [`BatchedSystem`](crate::lockstep::BatchedSystem).
-pub fn topology_key(cfg: &SystemConfig) -> Fingerprint {
-    let canon = format!(
-        "v{SIM_KERNEL_VERSION}|topology|{}",
-        serde_json::to_string(cfg).expect("SystemConfig serialises"),
-    );
-    let hi = fnv1a(0xcbf2_9ce4_8422_2325, canon.as_bytes());
-    let lo = fnv1a(0xaf63_bd4c_8601_b7df, canon.as_bytes());
-    Fingerprint((u128::from(hi) << 64) | u128::from(lo))
-}
-
 // ------------------------------------------------------------ observability
 
 /// Point-in-time cache gauges and counters, exported by `repro`'s stderr
@@ -477,16 +460,6 @@ impl ResultCache {
                     eprintln!("hbm-cache: flush failed: {e}");
                 }
             }
-        }
-    }
-
-    /// Counts one miss. [`get`](ResultCache::get) deliberately counts
-    /// hits only; a caller that answers a failed lookup by computing the
-    /// row itself (the lockstep batch runner) reports the miss here so
-    /// the hit/miss ledger stays path-independent. No-op when disabled.
-    pub fn record_miss(&self) {
-        if self.is_enabled() {
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -1,10 +1,8 @@
 //! Sampled kernel phase profiler: wall-time attribution of the cycle
 //! loop.
 //!
-//! The roadmap's "lockstep batching is queue-op-bound" diagnosis was
-//! made with out-of-tree profiling; this module makes it a reproducible
-//! in-tree artifact. A profiled run attributes *every* nanosecond of the
-//! kernel loop to one of six phases:
+//! A profiled run attributes *every* nanosecond of the kernel loop to one
+//! of five phases:
 //!
 //! | phase | what it covers |
 //! |---|---|
@@ -13,7 +11,6 @@
 //! | `mc_tick` | controller+DRAM timing advance (step phase 3, tick half) |
 //! | `queue_ops` | port peek/pop/accept, stuck-completion retry, master completion drain (step phases 3+4, queue half) |
 //! | `horizon_compute` | `next_event` scans, pacer bookkeeping, and loop control |
-//! | `lockstep_reconcile` | cross-lane min-horizon folds, lane realignment, shard boundary reconcile |
 //!
 //! ## Mechanism: telescoping laps
 //!
@@ -43,8 +40,8 @@
 //! (enforced by `tests/telemetry_equivalence.rs`).
 //!
 //! Profiling is per-thread: [`begin`]/[`end`] must bracket a run on the
-//! *same* thread (`measure` and `measure_batch` run on the caller's
-//! thread, so `repro profile` just wraps them).
+//! *same* thread (`measure` runs on the caller's thread, so
+//! `repro profile` just wraps it).
 
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
@@ -55,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::{Counter, Registry};
 use std::sync::Arc;
 
-/// The six attribution phases, in table order.
+/// The five attribution phases, in table order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
     /// Master poll/offer (step phase 1).
@@ -68,22 +65,14 @@ pub enum Phase {
     HorizonCompute,
     /// Port peek/pop/accept, stuck retries, completion drains.
     QueueOps,
-    /// Cross-lane min-horizon folds, realignment, boundary reconcile.
-    LockstepReconcile,
 }
 
 /// Number of phases.
-pub const NUM_PHASES: usize = 6;
+pub const NUM_PHASES: usize = 5;
 
 /// All phases, in display order.
-pub const PHASES: [Phase; NUM_PHASES] = [
-    Phase::GensTick,
-    Phase::FabricTick,
-    Phase::McTick,
-    Phase::HorizonCompute,
-    Phase::QueueOps,
-    Phase::LockstepReconcile,
-];
+pub const PHASES: [Phase; NUM_PHASES] =
+    [Phase::GensTick, Phase::FabricTick, Phase::McTick, Phase::HorizonCompute, Phase::QueueOps];
 
 impl Phase {
     /// The snake_case phase name used in tables, JSON, and metric labels.
@@ -94,27 +83,6 @@ impl Phase {
             Phase::McTick => "mc_tick",
             Phase::HorizonCompute => "horizon_compute",
             Phase::QueueOps => "queue_ops",
-            Phase::LockstepReconcile => "lockstep_reconcile",
-        }
-    }
-}
-
-/// Which kernel a profiled run exercised (a metric label and report
-/// field; the phases are shared).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Kernel {
-    /// The monolithic scalar kernel (`HbmSystem::step`/`run_span`).
-    Scalar,
-    /// The lockstep batched kernel (`hbm_core::lockstep`).
-    Lockstep,
-}
-
-impl Kernel {
-    /// Label value: `"scalar"` or `"lockstep"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Lockstep => "lockstep",
         }
     }
 }
@@ -122,7 +90,6 @@ impl Kernel {
 // ----------------------------------------------------------- thread state
 
 struct ProfState {
-    kernel: Kernel,
     t0: Instant,
     last: Instant,
     phase_ns: [u64; NUM_PHASES],
@@ -156,13 +123,13 @@ pub fn lap(phase: Phase) {
     });
 }
 
-/// Starts a profiling window on this thread for `kernel`. Any previous
-/// unfinished window is discarded.
-pub fn begin(kernel: Kernel) {
+/// Starts a profiling window on this thread. Any previous unfinished
+/// window is discarded.
+pub fn begin() {
     let now = Instant::now();
     STATE.with(|s| {
         *s.borrow_mut() =
-            Some(ProfState { kernel, t0: now, last: now, phase_ns: [0; NUM_PHASES], laps: 0 });
+            Some(ProfState { t0: now, last: now, phase_ns: [0; NUM_PHASES], laps: 0 });
     });
     ACTIVE.with(|a| a.set(true));
 }
@@ -176,12 +143,12 @@ pub fn end() -> PhaseReport {
     ACTIVE.with(|a| a.set(false));
     let st = STATE.with(|s| s.borrow_mut().take());
     let Some(mut st) = st else {
-        return PhaseReport::empty(Kernel::Scalar);
+        return PhaseReport::default();
     };
     let now = Instant::now();
     st.phase_ns[Phase::HorizonCompute as usize] += (now - st.last).as_nanos() as u64;
     let total_ns = (now - st.t0).as_nanos() as u64;
-    let report = PhaseReport { kernel: st.kernel, phase_ns: st.phase_ns, total_ns, laps: st.laps };
+    let report = PhaseReport { phase_ns: st.phase_ns, total_ns, laps: st.laps };
     report.publish();
     report
 }
@@ -189,10 +156,8 @@ pub fn end() -> PhaseReport {
 // --------------------------------------------------------------- reports
 
 /// One profiled window's attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseReport {
-    /// Which kernel ran.
-    pub kernel: Kernel,
     /// Nanoseconds attributed to each phase, indexed by [`Phase`] in
     /// [`PHASES`] order.
     pub phase_ns: [u64; NUM_PHASES],
@@ -203,10 +168,6 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
-    fn empty(kernel: Kernel) -> PhaseReport {
-        PhaseReport { kernel, phase_ns: [0; NUM_PHASES], total_ns: 0, laps: 0 }
-    }
-
     /// Nanoseconds attributed to `phase`.
     pub fn ns(&self, phase: Phase) -> u64 {
         self.phase_ns[phase as usize]
@@ -243,7 +204,6 @@ impl PhaseReport {
                 .collect(),
         );
         serde_json::json!({
-            "kernel": self.kernel.name(),
             "phase_ns": phases,
             "total_ns": self.total_ns,
             "laps": self.laps,
@@ -259,24 +219,22 @@ impl PhaseReport {
             return;
         }
         let handles = phase_counters();
-        let base = match self.kernel {
-            Kernel::Scalar => 0,
-            Kernel::Lockstep => NUM_PHASES,
-        };
         for p in PHASES {
-            handles.phase[base + p as usize].add(self.ns(p));
+            handles.phase[p as usize].add(self.ns(p));
         }
-        handles.runs[base / NUM_PHASES].inc();
+        handles.runs.inc();
     }
 }
 
 // ------------------------------------------------------- metric handles
 
+/// Registry handles of the phase counters. The series carry a
+/// `kernel="scalar"` label so scraped series names stay stable.
 struct PhaseCounters {
-    /// `[scalar × 6, lockstep × 6]` in [`PHASES`] order.
+    /// One counter per phase, in [`PHASES`] order.
     phase: Vec<Arc<Counter>>,
-    /// Profiled-run counts, `[scalar, lockstep]`.
-    runs: [Arc<Counter>; 2],
+    /// Profiled-run count.
+    runs: Arc<Counter>,
 }
 
 fn phase_counters() -> &'static PhaseCounters {
@@ -285,28 +243,21 @@ fn phase_counters() -> &'static PhaseCounters {
 }
 
 fn build_phase_counters(reg: &Registry) -> PhaseCounters {
-    let mut phase = Vec::with_capacity(2 * NUM_PHASES);
-    for kernel in [Kernel::Scalar, Kernel::Lockstep] {
-        for p in PHASES {
-            phase.push(reg.counter(
+    let phase = PHASES
+        .iter()
+        .map(|p| {
+            reg.counter(
                 "hbm_kernel_phase_ns_total",
                 "Profiled kernel wall time attributed per phase, in ns",
-                &[("kernel", kernel.name()), ("phase", p.name())],
-            ));
-        }
-    }
-    let runs = [
-        reg.counter(
-            "hbm_kernel_profile_runs_total",
-            "Completed phase-profiler windows",
-            &[("kernel", "scalar")],
-        ),
-        reg.counter(
-            "hbm_kernel_profile_runs_total",
-            "Completed phase-profiler windows",
-            &[("kernel", "lockstep")],
-        ),
-    ];
+                &[("kernel", "scalar"), ("phase", p.name())],
+            )
+        })
+        .collect();
+    let runs = reg.counter(
+        "hbm_kernel_profile_runs_total",
+        "Completed phase-profiler windows",
+        &[("kernel", "scalar")],
+    );
     PhaseCounters { phase, runs }
 }
 
@@ -323,7 +274,7 @@ mod tests {
 
     #[test]
     fn telescoping_is_exact() {
-        begin(Kernel::Scalar);
+        begin();
         lap(Phase::GensTick);
         std::thread::sleep(std::time::Duration::from_millis(2));
         lap(Phase::FabricTick);
@@ -350,21 +301,19 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        begin(Kernel::Lockstep);
-        lap(Phase::LockstepReconcile);
+        begin();
+        lap(Phase::QueueOps);
         std::thread::sleep(std::time::Duration::from_millis(1));
         let r = end();
         let total: f64 = PHASES.iter().map(|&p| r.fraction(p)).sum();
         assert!((total - 1.0).abs() < 1e-12, "{total}");
-        assert_eq!(r.kernel, Kernel::Lockstep);
     }
 
     #[test]
     fn json_shape() {
-        begin(Kernel::Scalar);
+        begin();
         lap(Phase::GensTick);
         let v = end().to_json();
-        assert!(matches!(v.get("kernel"), Some(serde_json::Value::Str(s)) if s == "scalar"));
         assert!(matches!(v.get("consistent"), Some(serde_json::Value::Bool(true))));
         let phases = v.get("phase_ns").expect("phase_ns present");
         assert!(matches!(phases.get("gens_tick"), Some(serde_json::Value::U64(_))));

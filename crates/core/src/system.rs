@@ -2,11 +2,10 @@
 
 use hbm_axi::{ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Tracer};
 use hbm_fabric::{
-    DirectFabric, FabricConfig, FabricStats, FullCrossbarFabric, Interconnect, ShardLayout,
-    SwitchShard, XilinxFabric,
+    DirectFabric, FabricConfig, FabricStats, FullCrossbarFabric, Interconnect, XilinxFabric,
 };
 use hbm_mao::{MaoConfig, MaoFabric};
-use hbm_mem::{BankPool, BanksViewMut, HbmConfig, MemStats, MemoryController};
+use hbm_mem::{BankPool, HbmConfig, MemStats, MemoryController};
 use hbm_traffic::{BmTrafficGen, GenStats, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -104,58 +103,30 @@ impl SystemConfig {
         fc
     }
 
-    /// Concrete Xilinx fabric for this configuration. Panics unless
-    /// [`fabric`](SystemConfig::fabric) is a Xilinx variant. The batched
-    /// engine (`lockstep`) builds lanes from these monomorphic
-    /// constructors so its cycle kernel carries no virtual dispatch;
-    /// [`build_fabric`](SystemConfig::build_fabric) delegates here so
-    /// both paths assemble byte-identical fabrics.
-    pub(crate) fn build_xilinx(&self) -> XilinxFabric {
-        let mut fc = self.xilinx_fabric_config();
+    fn build_fabric(&self) -> Box<dyn Interconnect> {
+        let n = self.hbm.num_pch;
+        let cap = self.hbm.pch_capacity;
         match &self.fabric {
-            FabricKind::Xilinx => {}
+            FabricKind::Xilinx => Box::new(XilinxFabric::new(self.xilinx_fabric_config())),
             FabricKind::XilinxTweaked(t) => {
+                let mut fc = self.xilinx_fabric_config();
                 fc.lateral_buses = t.lateral_buses;
                 fc.lateral_rate = t.lateral_rate;
                 fc.dead_beats = t.dead_beats;
+                Box::new(XilinxFabric::new(fc))
             }
-            other => panic!("not a Xilinx fabric configuration: {other:?}"),
-        }
-        XilinxFabric::new(fc)
-    }
-
-    /// Concrete MAO fabric for this configuration (panics otherwise).
-    pub(crate) fn build_mao(&self) -> MaoFabric {
-        let FabricKind::Mao(mc) = &self.fabric else {
-            panic!("not a MAO fabric configuration: {:?}", self.fabric)
-        };
-        let mut mc = *mc;
-        mc.num_ports = self.hbm.num_pch;
-        mc.num_masters = self.hbm.num_pch;
-        mc.port_capacity = self.hbm.pch_capacity;
-        MaoFabric::new(mc)
-    }
-
-    /// Concrete monolithic-crossbar fabric for this configuration.
-    pub(crate) fn build_fullxbar(&self) -> FullCrossbarFabric {
-        FullCrossbarFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 6, 8)
-    }
-
-    /// Concrete direct 1:1 fabric for this configuration.
-    pub(crate) fn build_direct(&self) -> DirectFabric {
-        DirectFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 4, 8)
-    }
-
-    fn build_fabric(&self) -> Box<dyn Interconnect> {
-        match &self.fabric {
-            FabricKind::Xilinx | FabricKind::XilinxTweaked(_) => Box::new(self.build_xilinx()),
-            FabricKind::Mao(_) => Box::new(self.build_mao()),
-            FabricKind::FullCrossbar => Box::new(self.build_fullxbar()),
-            FabricKind::Direct => Box::new(self.build_direct()),
+            FabricKind::Mao(mc) => {
+                let mut mc = *mc;
+                mc.num_ports = n;
+                mc.num_masters = n;
+                mc.port_capacity = cap;
+                Box::new(MaoFabric::new(mc))
+            }
+            FabricKind::FullCrossbar => Box::new(FullCrossbarFabric::new(n, cap, 6, 8)),
+            FabricKind::Direct => Box::new(DirectFabric::new(n, cap, 4, 8)),
         }
     }
 }
-
 /// A producer/consumer of memory transactions attached to one master
 /// port — either a synthetic [`BmTrafficGen`] or an accelerator engine
 /// (see the `hbm-accel` crate).
@@ -166,11 +137,7 @@ impl SystemConfig {
 /// must return the *same* transaction on the next poll (head-of-line
 /// retry). Delivered completions arrive via
 /// [`completed`](TrafficSource::completed).
-///
-/// Sources must be [`Send`]: under [`RunPolicy::Parallel`] each
-/// execution domain — including its traffic sources — may be advanced
-/// on a worker thread.
-pub trait TrafficSource: Send {
+pub trait TrafficSource {
     /// The head-of-line transaction to offer this cycle, if any.
     fn poll(&mut self, now: Cycle) -> Option<hbm_axi::Transaction>;
 
@@ -211,18 +178,6 @@ pub trait TrafficSource: Send {
     fn in_flight(&self) -> usize {
         0
     }
-
-    /// `true` when every transaction this source will *ever* issue
-    /// targets the pseudo-channel port with the source's own master
-    /// index. Under such traffic no flit can cross a lateral bus, so a
-    /// parallel conductor may sprint execution domains all the way to
-    /// the deadline between barriers instead of re-synchronising every
-    /// `sync_lag` cycles. The hint must be conservative: `false` is
-    /// always safe, while a wrong `true` breaks cycle accuracy. The
-    /// default is therefore `false`.
-    fn port_affine(&self) -> bool {
-        false
-    }
 }
 
 impl TrafficSource for BmTrafficGen {
@@ -257,31 +212,6 @@ impl TrafficSource for BmTrafficGen {
     fn in_flight(&self) -> usize {
         BmTrafficGen::in_flight(self)
     }
-
-    fn port_affine(&self) -> bool {
-        BmTrafficGen::port_affine(self)
-    }
-}
-
-/// How [`HbmSystem::run`] and [`HbmSystem::run_until_drained`] execute
-/// the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunPolicy {
-    /// Single-threaded lock-step stepping — the reference semantics.
-    #[default]
-    Sequential,
-    /// Advance per-switch execution domains concurrently on up to
-    /// `jobs` OS threads between lateral-synchronisation barriers.
-    /// Bit-identical to [`Sequential`](RunPolicy::Sequential) by
-    /// construction (DESIGN.md §3.3; enforced by the
-    /// `parallel_equivalence` property tests). Falls back to the
-    /// sequential path on fabrics without a shard decomposition.
-    Parallel {
-        /// Worker-thread budget; clamped to at least 1. Windows too
-        /// narrow to amortise a thread spawn are advanced inline
-        /// regardless.
-        jobs: usize,
-    },
 }
 
 /// Amortizes [`HbmSystem::next_event`] over saturated stretches.
@@ -295,7 +225,7 @@ pub enum RunPolicy {
 /// worst it executes up to [`Pacer::MAX_CREDIT`] no-op cycles of an idle
 /// gap before the next horizon check skips the rest.
 #[derive(Default)]
-pub(crate) struct Pacer {
+struct Pacer {
     credit: u32,
     burst: u32,
 }
@@ -304,7 +234,7 @@ impl Pacer {
     const MAX_CREDIT: u32 = 64;
 
     /// Consumes one blind-step credit if available.
-    pub(crate) fn take_credit(&mut self) -> bool {
+    fn take_credit(&mut self) -> bool {
         if self.credit > 0 {
             self.credit -= 1;
             true
@@ -314,13 +244,13 @@ impl Pacer {
     }
 
     /// The horizon confirmed an immediate event: grow the blind burst.
-    pub(crate) fn stepped(&mut self) {
+    fn stepped(&mut self) {
         self.burst = (self.burst * 2).clamp(1, Self::MAX_CREDIT);
         self.credit = self.burst;
     }
 
     /// The horizon skipped ahead: traffic is sparse, re-check every step.
-    pub(crate) fn skipped(&mut self) {
+    fn skipped(&mut self) {
         self.burst = 0;
         self.credit = 0;
     }
@@ -334,9 +264,7 @@ pub struct HbmSystem {
     fabric: Box<dyn Interconnect>,
     mcs: Vec<MemoryController>,
     /// Bank row state for every pseudo-channel, structure-of-arrays (unit
-    /// `p` belongs to controller `p`). Owned here rather than inside the
-    /// controllers so the parallel conductor can lend each shard its
-    /// contiguous slice of units.
+    /// `p` belongs to controller `p`).
     banks: BankPool,
     /// Completions produced by a controller that could not yet enter the
     /// return network (per port).
@@ -348,9 +276,6 @@ pub struct HbmSystem {
     tracer: Option<SharedTracer>,
     /// Windowed time-series sampler, when attached.
     probe: Option<Probe>,
-    /// Execution policy for [`run`](HbmSystem::run) and
-    /// [`run_until_drained`](HbmSystem::run_until_drained).
-    policy: RunPolicy,
 }
 
 impl HbmSystem {
@@ -410,30 +335,6 @@ impl HbmSystem {
             cfg: cfg.clone(),
             tracer: None,
             probe: None,
-            policy: RunPolicy::Sequential,
-        }
-    }
-
-    /// Selects the execution policy for subsequent runs. Changing the
-    /// policy mid-simulation is safe: both paths produce bit-identical
-    /// state at every cycle boundary.
-    pub fn set_run_policy(&mut self, policy: RunPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active execution policy.
-    pub fn run_policy(&self) -> RunPolicy {
-        self.policy
-    }
-
-    /// The worker count when the active policy can actually conduct
-    /// this system's fabric in parallel (`None` → sequential path).
-    fn conducted_jobs(&self) -> Option<usize> {
-        match self.policy {
-            RunPolicy::Parallel { jobs } if self.fabric.shard_layout().is_some() => {
-                Some(jobs.max(1))
-            }
-            _ => None,
         }
     }
 
@@ -454,15 +355,17 @@ impl HbmSystem {
     /// observation-only: a traced run is bit-identical to an untraced one
     /// (enforced by the `fastpath_equivalence` property tests).
     ///
-    /// On a sharded fabric the tracer is partitioned per execution
-    /// domain (`record_cap` completed records per partition), so
-    /// concurrent domains never contend on one lock;
+    /// On the Xilinx fabric the tracer is partitioned per switch
+    /// (`record_cap` completed records per partition);
     /// [`SharedTracer::snapshot`] merges partitions back into the
     /// monolithic delivery order.
     pub fn enable_tracing(&mut self, record_cap: usize) -> SharedTracer {
-        let tracer = match self.fabric.shard_layout() {
-            Some(l) => Tracer::sharded(record_cap, l.shards, l.masters_per_shard),
-            None => Tracer::shared(record_cap),
+        let tracer = match self.cfg.fabric {
+            FabricKind::Xilinx | FabricKind::XilinxTweaked(_) => {
+                let fc = self.cfg.xilinx_fabric_config();
+                Tracer::sharded(record_cap, fc.num_switches, fc.masters_per_switch)
+            }
+            _ => Tracer::shared(record_cap),
         };
         self.fabric.attach_tracer(tracer.clone());
         for (p, mc) in self.mcs.iter_mut().enumerate() {
@@ -647,10 +550,6 @@ impl HbmSystem {
     /// fast-forward clamps to the deadline and re-derives the same
     /// horizon on re-entry.
     pub fn run(&mut self, cycles: Cycle) {
-        if let Some(jobs) = self.conducted_jobs() {
-            self.conduct(cycles, jobs, false);
-            return;
-        }
         if self.probe.is_none() {
             return self.run_span(cycles);
         }
@@ -709,9 +608,6 @@ impl HbmSystem {
     /// With a probe attached the span is split at sampling boundaries,
     /// exactly like [`run`](HbmSystem::run).
     pub fn run_until_drained(&mut self, max_cycles: Cycle) -> bool {
-        if let Some(jobs) = self.conducted_jobs() {
-            return self.conduct(max_cycles, jobs, true);
-        }
         if self.probe.is_none() {
             return self.drain_span(max_cycles);
         }
@@ -774,126 +670,6 @@ impl HbmSystem {
         }
     }
 
-    /// The sharded execution path behind [`run`](HbmSystem::run) and
-    /// [`run_until_drained`](HbmSystem::run_until_drained) under
-    /// [`RunPolicy::Parallel`].
-    ///
-    /// Work proceeds in *supersteps*: each iteration picks a barrier
-    /// cycle `W` no farther than the fabric's lateral-synchronisation
-    /// lag past the earliest component horizon (clamped to the deadline
-    /// and the next probe boundary), advances every execution domain
-    /// independently over `[now, W)`, reconciles the lateral boundaries,
-    /// and jumps `now` to `W`. The lateral-port contract — data *and*
-    /// credits delayed by at least `sync_lag` cycles — guarantees no
-    /// domain can observe another's in-window state changes before `W`,
-    /// so any interleaving (including concurrent execution) replays the
-    /// sequential schedule bit-for-bit (DESIGN.md §3.3).
-    ///
-    /// When every source is port-affine and each shard owns its own
-    /// masters' ports end-to-end, no flit can ever cross a lateral bus;
-    /// the horizon clamp is then dropped entirely and domains sprint
-    /// straight to the deadline on independent threads.
-    fn conduct(&mut self, budget: Cycle, jobs: usize, drain: bool) -> bool {
-        let layout = self.fabric.shard_layout().expect("conduct requires a sharded fabric");
-        // Anti-hang guard only: `validate()` rejects hop latencies < 1.
-        let lag = layout.sync_lag.max(1);
-        let deadline = self.now.saturating_add(budget);
-        let lateral_free = layout.masters_per_shard == layout.ports_per_shard
-            && self.gens.iter().all(|g| g.port_affine());
-        let mut last_step: Vec<Option<Cycle>> = vec![None; layout.shards];
-        loop {
-            if drain && self.drained() {
-                // The sequential drain loop stops one cycle past its
-                // last executed step; windows may have carried `now`
-                // beyond that, so roll back to the equivalent cycle.
-                if let Some(t) = last_step.iter().filter_map(|s| *s).max() {
-                    self.now = t + 1;
-                }
-                self.sample_probe_final();
-                return true;
-            }
-            if self.now >= deadline {
-                self.sample_probe_final();
-                return !drain;
-            }
-            let mut cap = deadline;
-            if let Some(p) = &self.probe {
-                let next = p.next_sample_at();
-                if next <= self.now {
-                    self.sample_probe();
-                    continue;
-                }
-                cap = cap.min(next);
-            }
-            let barrier = match self.next_event() {
-                None => cap,
-                Some(_) if lateral_free => cap,
-                Some(t) => t.max(self.now).saturating_add(lag).min(cap),
-            };
-            self.advance_domains(barrier, jobs, &mut last_step, &layout);
-            self.fabric
-                .as_sharded_mut()
-                .expect("shard_layout() promised a sharded view")
-                .reconcile();
-            self.now = barrier;
-        }
-    }
-
-    /// Advances every execution domain independently over
-    /// `[self.now, to)`, on up to `jobs` worker threads when the window
-    /// is wide enough to amortise the spawns.
-    fn advance_domains(
-        &mut self,
-        to: Cycle,
-        jobs: usize,
-        last_step: &mut [Option<Cycle>],
-        layout: &ShardLayout,
-    ) {
-        /// Below this window width a scoped-thread spawn costs more
-        /// than it buys; domains are advanced inline instead.
-        const SPAWN_THRESHOLD: Cycle = 64;
-        let from = self.now;
-        let tracer = self.tracer.as_ref();
-        let shards = self
-            .fabric
-            .as_sharded_mut()
-            .expect("shard_layout() promised a sharded view")
-            .shards_mut();
-        let mut domains: Vec<Domain<'_>> = shards
-            .iter_mut()
-            .zip(self.gens.chunks_mut(layout.masters_per_shard))
-            .zip(self.mcs.chunks_mut(layout.ports_per_shard))
-            .zip(self.banks.view_mut().chunks_mut(layout.ports_per_shard))
-            .zip(self.stuck.chunks_mut(layout.ports_per_shard))
-            .zip(last_step.iter_mut())
-            .map(|(((((shard, gens), mcs), banks), stuck), last)| Domain {
-                shard,
-                gens,
-                mcs,
-                banks,
-                stuck,
-                tracer,
-                last,
-            })
-            .collect();
-        if jobs > 1 && domains.len() > 1 && to - from >= SPAWN_THRESHOLD {
-            let per = domains.len().div_ceil(jobs);
-            std::thread::scope(|scope| {
-                for chunk in domains.chunks_mut(per) {
-                    scope.spawn(move || {
-                        for d in chunk {
-                            d.advance(from, to);
-                        }
-                    });
-                }
-            });
-        } else {
-            for d in &mut domains {
-                d.advance(from, to);
-            }
-        }
-    }
-
     /// `true` when no transaction is anywhere in the system.
     pub fn drained(&self) -> bool {
         self.gens.iter().all(|g| g.drained())
@@ -949,141 +725,6 @@ impl HbmSystem {
             visit("mc_req", req);
             visit("mc_resp", resp);
             visit("mc_ack", ack);
-        }
-    }
-}
-
-/// One per-switch execution domain: a [`SwitchShard`] plus the traffic
-/// sources, memory controllers, and stuck-completion slots of the
-/// masters and ports it owns. Between barriers the conductor advances
-/// each domain independently — possibly on its own thread — replaying
-/// the exact four-phase cycle schedule of [`HbmSystem::step`] on the
-/// domain's slice of the system. Lateral traffic lands in the shard's
-/// cycle-stamped outboxes; nothing outside the domain is touched until
-/// [`hbm_fabric::ShardedFabric::reconcile`] runs at the barrier.
-struct Domain<'a> {
-    shard: &'a mut SwitchShard,
-    gens: &'a mut [Box<dyn TrafficSource>],
-    mcs: &'a mut [MemoryController],
-    /// The bank-pool units of this domain's ports (unit `lp` belongs to
-    /// `mcs[lp]`). Mutable slices only, so the domain stays `Send`.
-    banks: BanksViewMut<'a>,
-    stuck: &'a mut [Option<Completion>],
-    tracer: Option<&'a SharedTracer>,
-    /// The cycle of this domain's most recent executed step across the
-    /// whole conducted run (drain-mode end-cycle reconstruction).
-    last: &'a mut Option<Cycle>,
-}
-
-impl Domain<'_> {
-    /// Mirrors [`HbmSystem::drained`] on the domain's slice (the shard
-    /// counts its receiver rings *and* unreconciled outboxes).
-    fn drained(&self) -> bool {
-        self.gens.iter().all(|g| g.drained())
-            && self.shard.drained()
-            && self.mcs.iter().all(|m| m.drained())
-            && self.stuck.iter().all(|s| s.is_none())
-    }
-
-    /// Mirrors [`HbmSystem::next_event`] on the domain's slice.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.stuck.iter().any(|s| s.is_some()) {
-            return Some(now); // retried against the shard every cycle
-        }
-        let mut best: Option<Cycle> = None;
-        let mut merge = |t: Option<Cycle>| -> bool {
-            match t {
-                Some(t) if t <= now => true,
-                Some(t) => {
-                    if best.is_none_or(|b| t < b) {
-                        best = Some(t);
-                    }
-                    false
-                }
-                None => false,
-            }
-        };
-        for g in self.gens.iter() {
-            if merge(g.next_event(now)) {
-                return Some(now);
-            }
-        }
-        if merge(self.shard.next_event(now)) {
-            return Some(now);
-        }
-        for mc in self.mcs.iter() {
-            if merge(mc.next_event(now)) {
-                return Some(now);
-            }
-        }
-        best
-    }
-
-    /// Mirrors the four phases of [`HbmSystem::step`] on the domain's
-    /// slice, with shard-local master/port indices.
-    fn step(&mut self, now: Cycle) {
-        for gen in self.gens.iter_mut() {
-            if let Some(txn) = gen.poll(now) {
-                if self.shard.offer_request(now, txn).is_ok() {
-                    gen.accepted();
-                }
-            }
-        }
-        self.shard.tick(now);
-        for (lp, mc) in self.mcs.iter_mut().enumerate() {
-            if let Some(head) = self.shard.peek_request(now, lp) {
-                if mc.can_accept(head.dir) {
-                    let txn = self.shard.pop_request(now, lp).expect("peeked head");
-                    mc.accept(now, txn);
-                }
-            }
-            mc.tick(now, &mut self.banks.unit_mut(lp));
-            if let Some(c) = self.stuck[lp].take() {
-                if let Err(c) = self.shard.offer_completion(now, lp, c) {
-                    self.stuck[lp] = Some(c);
-                }
-            }
-            if self.stuck[lp].is_none() {
-                if let Some(c) = mc.pop_completion(now) {
-                    if let Err(c) = self.shard.offer_completion(now, lp, c) {
-                        self.stuck[lp] = Some(c);
-                    }
-                }
-            }
-        }
-        for lm in 0..self.gens.len() {
-            while let Some(c) = self.shard.pop_completion(now, lm) {
-                if let Some(tr) = self.tracer {
-                    tr.delivered(now, &c.txn);
-                }
-                self.gens[lm].completed(now, &c.txn);
-            }
-        }
-    }
-
-    /// Advances the domain over `[from, to)`, stepping only at cycles
-    /// its own horizon marks as potentially active — the sequential
-    /// event-horizon fast-forward, applied per domain. Cross-domain
-    /// input cannot arrive mid-window (the barrier rule), so the
-    /// horizon stays valid for the whole span. Stops early once locally
-    /// drained: the remaining cycles are provably no-ops, and skipping
-    /// them keeps `last` at the same cycle the sequential drain loop
-    /// would stop at.
-    fn advance(&mut self, from: Cycle, to: Cycle) {
-        let mut now = from;
-        while now < to {
-            if self.drained() {
-                return;
-            }
-            match self.next_event(now) {
-                Some(t) if t <= now => {
-                    self.step(now);
-                    *self.last = Some(now);
-                    now += 1;
-                }
-                Some(t) => now = t.min(to),
-                None => return,
-            }
         }
     }
 }
@@ -1178,60 +819,6 @@ mod tests {
         let b = run();
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1, "identical seeds must give identical results");
-    }
-
-    /// Stats fingerprint for sequential-vs-parallel parity checks.
-    fn fingerprint(sys: &HbmSystem) -> (Cycle, u64, u64, f64, u64) {
-        let gens = sys.gen_stats();
-        (
-            sys.now(),
-            gens.iter().map(|g| g.completed).sum(),
-            sys.mem_stats().total_bytes(),
-            gens.iter().map(|g| g.read_lat.mean().unwrap_or(0.0)).sum(),
-            sys.fabric_stats().lateral_beats(),
-        )
-    }
-
-    #[test]
-    fn parallel_policy_matches_sequential_under_lateral_traffic() {
-        let wl = Workload { rotation: 4, ..Workload::scs() };
-        let run = |policy| {
-            let mut sys = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
-            sys.set_run_policy(policy);
-            assert!(sys.run_until_drained(200_000));
-            fingerprint(&sys)
-        };
-        let seq = run(RunPolicy::Sequential);
-        let par = run(RunPolicy::Parallel { jobs: 4 });
-        assert_eq!(seq, par, "parallel drain must be bit-identical to sequential");
-        assert!(seq.4 > 0, "rotation-4 traffic must exercise the lateral boundaries");
-    }
-
-    #[test]
-    fn parallel_policy_matches_sequential_on_fixed_span() {
-        let run = |policy| {
-            let mut sys = HbmSystem::new(&SystemConfig::xilinx(), Workload::ccra(), None);
-            sys.set_run_policy(policy);
-            sys.run(20_000);
-            fingerprint(&sys)
-        };
-        assert_eq!(run(RunPolicy::Sequential), run(RunPolicy::Parallel { jobs: 2 }));
-    }
-
-    #[test]
-    fn port_affine_traffic_sprints_without_barriers() {
-        // SCS at rotation 0 never crosses a lateral bus: the conductor
-        // runs full-span windows and must still agree with sequential.
-        let run = |policy| {
-            let mut sys = HbmSystem::new(&SystemConfig::xilinx(), Workload::scs(), Some(128));
-            sys.set_run_policy(policy);
-            assert!(sys.run_until_drained(200_000));
-            fingerprint(&sys)
-        };
-        let seq = run(RunPolicy::Sequential);
-        let par = run(RunPolicy::Parallel { jobs: 8 });
-        assert_eq!(seq, par);
-        assert_eq!(seq.4, 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod direct;
 pub mod fullxbar;
 mod idtrack;
 pub mod link;
-pub mod shard;
+mod shard;
 pub mod stats;
 pub mod xilinx;
 
@@ -62,59 +62,10 @@ pub use addressmap::{AddressMap, ContiguousMap};
 pub use direct::DirectFabric;
 pub use fullxbar::FullCrossbarFabric;
 pub use link::{horizon, Flit, SerialLink};
-pub use shard::{LateralRx, LateralTx, SwitchShard};
 pub use stats::{FabricStats, LinkStats};
 pub use xilinx::{FabricConfig, XilinxFabric};
 
 use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
-
-/// Geometry of a sharded fabric's execution domains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardLayout {
-    /// Number of independent execution domains (mini switches).
-    pub shards: usize,
-    /// Contiguous masters owned by each shard.
-    pub masters_per_shard: usize,
-    /// Contiguous pseudo-channel ports owned by each shard.
-    pub ports_per_shard: usize,
-    /// Minimum cycles before any state change in one shard can become
-    /// visible to another (lateral data *and* credit delay). A conductor
-    /// may advance shards independently for up to `sync_lag` cycles past
-    /// the earliest shard event before reconciling boundaries.
-    pub sync_lag: Cycle,
-}
-
-/// A fabric decomposed into independently advanceable execution domains.
-///
-/// Implementors guarantee the lateral-port contract (see
-/// [`shard`]): shards communicate *only* through cycle-stamped channels
-/// whose data and credits are delayed by at least
-/// [`ShardLayout::sync_lag`] cycles, so advancing shards in any order —
-/// or concurrently — between barriers no farther apart than the
-/// lateral-synchronisation horizon is bit-identical to lock-step
-/// sequential execution.
-pub trait ShardedFabric {
-    /// The shard geometry.
-    fn layout(&self) -> ShardLayout;
-
-    /// Mutable access to the execution domains, for a conductor to
-    /// advance independently (each [`SwitchShard`] is `Send`).
-    fn shards_mut(&mut self) -> &mut [SwitchShard];
-
-    /// Delivers every boundary's pending flits and credits. Must be
-    /// called at each synchronisation barrier after all shards reach it.
-    fn reconcile(&mut self);
-
-    /// `true` when the next [`reconcile`](ShardedFabric::reconcile)
-    /// would actually move state — any sender outbox non-empty or any
-    /// receiver pop awaiting credit return. When `false`, reconciling is
-    /// a provable no-op and a conductor may skip the barrier walk. The
-    /// default is the conservative `true` (always reconcile), which is
-    /// always correct.
-    fn pending_reconcile(&self) -> bool {
-        true
-    }
-}
 
 /// A routable interconnect between bus masters and pseudo-channel ports.
 ///
@@ -199,22 +150,6 @@ pub trait Interconnect {
     /// fabrics that do not track it.
     fn occupancy(&self) -> usize {
         0
-    }
-
-    /// The shard geometry when this fabric is decomposed into parallel
-    /// execution domains, `None` for monolithic fabrics. A `Some` return
-    /// promises that [`as_sharded_mut`](Interconnect::as_sharded_mut)
-    /// also returns `Some`. The default is `None`: monolithic fabrics
-    /// run on the sequential path regardless of the requested run
-    /// policy.
-    fn shard_layout(&self) -> Option<ShardLayout> {
-        None
-    }
-
-    /// The fabric's [`ShardedFabric`] view, `None` for monolithic
-    /// fabrics (the sequential fallback).
-    fn as_sharded_mut(&mut self) -> Option<&mut dyn ShardedFabric> {
-        None
     }
 
     /// Visits the peak occupancy (high-water mark) of every internal

@@ -1,5 +1,5 @@
-//! Per-switch execution domains and the explicit lateral ports that
-//! connect them.
+//! Per-switch shards of the Xilinx fabric and the explicit lateral
+//! ports that connect them.
 //!
 //! The segmented switch network is *structurally* parallel: each mini
 //! switch is a self-contained 4×4 crossbar whose only coupling to its
@@ -27,18 +27,13 @@
 //!   data did).
 //!
 //! Because both data and credits are delayed by at least one hop, *no
-//! same-cycle information flows between shards*. That is the property the
-//! parallel conductor builds on: between two synchronisation barriers
-//! separated by at most `hop_latency` cycles past the earliest shard
-//! event, every shard can be advanced independently — in any order, or on
-//! different threads — and the result is bit-identical to the sequential
-//! schedule (DESIGN.md §3.3).
+//! same-cycle information flows between shards*: ticking the shards in
+//! any order within a cycle gives the same result (DESIGN.md §3.3).
 //!
 //! [`reconcile`] is the only cross-shard operation: it drains each
 //! sender's outbox into the paired receiver ring and returns the
 //! receiver's pop credits, preserving cycle stamps. The owning fabric
-//! calls it at every synchronisation barrier (each cycle when stepping
-//! sequentially).
+//! calls it once per cycle, after every shard has ticked.
 
 use hbm_axi::{Completion, Cycle, SharedTracer, StampedRing, Transaction};
 
@@ -128,12 +123,6 @@ impl LateralTx {
         debug_assert!(pushed.is_ok(), "credit protocol bounds the outbox by capacity");
     }
 
-    /// Flits waiting in the outbox (empty at every synchronisation
-    /// barrier).
-    pub fn outbox_len(&self) -> usize {
-        self.outbox.len()
-    }
-
     /// Peak outbox occupancy since construction — the most flits this
     /// channel ever held between two reconciles.
     pub fn high_water(&self) -> usize {
@@ -210,10 +199,8 @@ impl LateralRx {
 /// cycle stamps and send order) and returns the receiver's pop credits to
 /// the sender, delayed by the channel's `hop_latency`.
 ///
-/// This is the *only* way state crosses a shard boundary. It is safe to
-/// call at any barrier no finer than once per cycle and no coarser than
-/// the lateral-horizon window: stamps guarantee nothing becomes visible
-/// early, regardless of how often reconciliation runs.
+/// This is the *only* way state crosses a shard boundary. Stamps
+/// guarantee nothing becomes visible early.
 pub fn reconcile(tx: &mut LateralTx, rx: &mut LateralRx) {
     while let Some((ready_at, flit)) = tx.outbox.pop_front() {
         let pushed = rx.ring.push_at(ready_at, flit);
@@ -599,7 +586,7 @@ impl SwitchShard {
 
     /// The shard's next-event horizon: earliest cycle ≥ `now` at which
     /// any local link or lateral ring delivers a head. Sender outboxes
-    /// are empty at every barrier, so they never contribute.
+    /// are empty between ticks, so they never contribute.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut best: Option<Cycle> = None;
         let times = self
@@ -630,17 +617,6 @@ impl SwitchShard {
             .all(|l| l.is_empty())
             && self.west_rx.iter().chain(&self.east_rx).all(|r| r.is_empty())
             && self.east_tx.iter().chain(&self.west_tx).all(|t| t.outbox.is_empty())
-    }
-
-    /// `true` when this shard's lateral boundaries carry nothing for the
-    /// next reconcile: every sender outbox is empty and no receiver pop
-    /// is awaiting credit return. Reconciling an idle boundary is a
-    /// provable no-op, so a conductor may skip the barrier walk entirely
-    /// when every shard reports idle (see
-    /// [`ShardedFabric::pending_reconcile`](crate::ShardedFabric::pending_reconcile)).
-    pub fn boundary_idle(&self) -> bool {
-        self.east_tx.iter().chain(&self.west_tx).all(|t| t.outbox.is_empty())
-            && self.west_rx.iter().chain(&self.east_rx).all(|r| r.pops.is_empty())
     }
 
     /// Flits in flight inside this shard (local queues, receiver rings,
@@ -701,8 +677,8 @@ impl SwitchShard {
 
     /// Visits the high-water mark of every queue in this shard, labeled
     /// by family. Lateral channels report the receiver ring's peak (the
-    /// in-flight flits a boundary ever held); sender outboxes drain at
-    /// every barrier and contribute their own pre-reconcile peak.
+    /// in-flight flits a boundary ever held); sender outboxes drain
+    /// every cycle and contribute their own pre-reconcile peak.
     pub fn for_each_queue_hwm(&self, visit: &mut dyn FnMut(&'static str, usize)) {
         for l in &self.master_in {
             visit("ingress", l.high_water());
@@ -853,7 +829,7 @@ mod tests {
         for now in 0..20 {
             sh.tick(now);
         }
-        assert_eq!(sh.east_tx.iter().map(|t| t.outbox_len()).sum::<usize>(), 1);
+        assert_eq!(sh.east_tx.iter().map(|t| t.outbox.len()).sum::<usize>(), 1);
         assert!(!sh.drained());
         assert_eq!(sh.occupancy(), 1);
     }

@@ -22,18 +22,17 @@
 //! requests stall at ingress. The MAO removes this stall with reorder
 //! buffers — a large part of its random-access win (paper Fig. 6).
 //!
-//! Structurally, the fabric is a chain of [`SwitchShard`] execution
-//! domains (see [`crate::shard`]): each mini switch owns all of its local
-//! state and talks to its neighbours only through cycle-stamped lateral
-//! ports, which is what lets the simulation core advance switches
-//! independently — and in parallel — between synchronisation horizons.
+//! Structurally, the fabric is a chain of per-switch shards (the private
+//! `shard` module): each mini switch owns all of its local state and
+//! talks to its neighbours only through cycle-stamped lateral ports,
+//! reconciled once per cycle at the end of [`tick`](Interconnect::tick).
 
 use hbm_axi::{Addr, ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::shard::SwitchShard;
 use crate::stats::{FabricStats, LinkStats};
-use crate::{Interconnect, ShardLayout, ShardedFabric};
+use crate::Interconnect;
 
 /// Geometry and timing of the segmented switch network.
 #[derive(Debug, Clone, Copy)]
@@ -118,20 +117,16 @@ impl FabricConfig {
     }
 }
 
-/// The segmented switch network: a chain of per-switch execution domains
-/// ([`SwitchShard`]) joined by explicit lateral ports.
+/// The segmented switch network: a chain of per-switch shards joined by
+/// explicit lateral ports.
 ///
 /// Each shard owns its four masters' ingress/egress links, its four
 /// pseudo-channel links, and the local crossbar's arbitration state;
-/// shards exchange flits only through cycle-stamped
-/// [`LateralTx`](crate::shard::LateralTx)/[`LateralRx`](crate::shard::LateralRx)
-/// channel pairs whose data *and* queue credits are delayed by
-/// `hop_latency`. Stepped sequentially, [`tick`](Interconnect::tick)
-/// advances every shard and then [reconciles](ShardedFabric::reconcile)
-/// all boundaries; the parallel conductor in `hbm-core` instead advances
-/// shards independently between lateral-synchronisation horizons and
-/// reconciles at each barrier — bit-identically, because no same-cycle
-/// information ever crosses a boundary (DESIGN.md §3.3).
+/// shards exchange flits only through cycle-stamped lateral channel
+/// pairs whose data *and* queue credits are delayed by `hop_latency`.
+/// [`tick`](Interconnect::tick) advances every shard and then reconciles
+/// all boundaries, so no same-cycle information ever crosses a switch
+/// (DESIGN.md §3.3).
 pub struct XilinxFabric {
     cfg: FabricConfig,
     map: ContiguousMap,
@@ -161,29 +156,7 @@ impl XilinxFabric {
         (p / self.cfg.ports_per_switch, p % self.cfg.ports_per_switch)
     }
 
-    fn merged_stats<'a>(stats: impl Iterator<Item = LinkStats> + 'a) -> LinkStats {
-        let mut total = LinkStats::default();
-        for s in stats {
-            total.merge(&s);
-        }
-        total
-    }
-}
-
-impl ShardedFabric for XilinxFabric {
-    fn layout(&self) -> ShardLayout {
-        ShardLayout {
-            shards: self.cfg.num_switches,
-            masters_per_shard: self.cfg.masters_per_switch,
-            ports_per_shard: self.cfg.ports_per_switch,
-            sync_lag: self.cfg.hop_latency,
-        }
-    }
-
-    fn shards_mut(&mut self) -> &mut [SwitchShard] {
-        &mut self.shards
-    }
-
+    /// Delivers every boundary's pending lateral flits and credits.
     fn reconcile(&mut self) {
         for nb in 0..self.shards.len() - 1 {
             let (a, b) = self.shards.split_at_mut(nb + 1);
@@ -191,8 +164,12 @@ impl ShardedFabric for XilinxFabric {
         }
     }
 
-    fn pending_reconcile(&self) -> bool {
-        self.shards.iter().any(|s| !s.boundary_idle())
+    fn merged_stats<'a>(stats: impl Iterator<Item = LinkStats> + 'a) -> LinkStats {
+        let mut total = LinkStats::default();
+        for s in stats {
+            total.merge(&s);
+        }
+        total
     }
 }
 
@@ -243,10 +220,7 @@ impl Interconnect for XilinxFabric {
         for sh in &mut self.shards {
             sh.tick(now);
         }
-        // Sequential stepping reconciles every boundary each cycle; the
-        // cycle stamps on lateral flits and credits make this equivalent
-        // to the parallel conductor's coarser barriers.
-        ShardedFabric::reconcile(self);
+        self.reconcile();
     }
 
     fn drained(&self) -> bool {
@@ -282,14 +256,6 @@ impl Interconnect for XilinxFabric {
         for sh in &self.shards {
             sh.for_each_queue_hwm(visit);
         }
-    }
-
-    fn shard_layout(&self) -> Option<ShardLayout> {
-        Some(ShardedFabric::layout(self))
-    }
-
-    fn as_sharded_mut(&mut self) -> Option<&mut dyn ShardedFabric> {
-        Some(self)
     }
 
     fn stats(&self) -> FabricStats {

@@ -9,15 +9,12 @@
 //! Bank state is not stored as a `Vec` of per-bank structs but as one
 //! [`BankPool`]: five contiguous parallel arrays (`open_row` plus four
 //! timing fields) covering every bank of every *unit* (pseudo-channel) an
-//! owner holds — 32 units for the scalar system, `lanes × 32` laid out
-//! lane-major for the lockstep kernel, mirroring the `StampedRing` /
-//! `LaneRings` design of the queue substrate. The controller's hot
-//! operations (`classify` for FR-FCFS ranking, refresh row-close, the
-//! row-state walk of `execute_burst`) then touch dense cache lines
-//! instead of pointer-chasing a heap of tiny structs. Mutable access
-//! flows through two borrowed views: [`BanksViewMut`] (a contiguous run
-//! of units, splittable for sharded/parallel execution) and [`BanksMut`]
-//! (one unit, what `PchDram` operates on).
+//! owner holds, mirroring the SoA `StampedRing` design of the queue
+//! substrate. The controller's hot operations (`classify` for FR-FCFS
+//! ranking, refresh row-close, the row-state walk of `execute_burst`)
+//! then touch dense cache lines instead of pointer-chasing a heap of
+//! tiny structs. Mutable access flows through [`BanksMut`], one unit's
+//! borrowed slices (what `PchDram` operates on).
 
 use crate::config::Timings;
 
@@ -43,7 +40,6 @@ pub enum PageOutcome {
 /// front to back.
 #[derive(Debug, Clone)]
 pub struct BankPool {
-    units: usize,
     banks_per_unit: usize,
     open_row: Box<[u64]>,
     /// Earliest next activate (set by auto-precharge under the closed
@@ -64,7 +60,6 @@ impl BankPool {
     pub fn new(units: usize, banks_per_unit: usize) -> BankPool {
         let n = units * banks_per_unit;
         BankPool {
-            units,
             banks_per_unit,
             open_row: vec![NO_ROW; n].into_boxed_slice(),
             ready_at: vec![0.0; n].into_boxed_slice(),
@@ -74,68 +69,9 @@ impl BankPool {
         }
     }
 
-    /// Number of units (pseudo-channels) in the pool.
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
-    /// Banks per unit.
-    pub fn banks_per_unit(&self) -> usize {
-        self.banks_per_unit
-    }
-
     /// Mutable view of one unit's banks.
     pub fn unit_mut(&mut self, unit: usize) -> BanksMut<'_> {
-        self.view_mut().into_unit_mut(unit)
-    }
-
-    /// Mutable view over every unit (splittable with
-    /// [`BanksViewMut::chunks_mut`]).
-    pub fn view_mut(&mut self) -> BanksViewMut<'_> {
-        BanksViewMut {
-            units: self.units,
-            banks_per_unit: self.banks_per_unit,
-            open_row: &mut self.open_row,
-            ready_at: &mut self.ready_at,
-            row_data_ready: &mut self.row_data_ready,
-            precharge_ok_at: &mut self.precharge_ok_at,
-            row_busy_until: &mut self.row_busy_until,
-        }
-    }
-
-    /// Splits the pool into disjoint contiguous views of
-    /// `units_per_view` units each (must divide the unit count) — the
-    /// lockstep kernel's per-lane decomposition.
-    pub fn views_mut(&mut self, units_per_view: usize) -> impl Iterator<Item = BanksViewMut<'_>> {
-        self.view_mut().chunks_mut(units_per_view)
-    }
-}
-
-/// Mutable bank state for a contiguous run of units — the splittable
-/// intermediate between a [`BankPool`] and the single-unit [`BanksMut`]
-/// that `PchDram` operates on. Holds only slice borrows, so views of
-/// disjoint unit ranges can be advanced on different threads.
-#[derive(Debug)]
-pub struct BanksViewMut<'a> {
-    units: usize,
-    banks_per_unit: usize,
-    open_row: &'a mut [u64],
-    ready_at: &'a mut [f64],
-    row_data_ready: &'a mut [f64],
-    precharge_ok_at: &'a mut [f64],
-    row_busy_until: &'a mut [f64],
-}
-
-impl<'a> BanksViewMut<'a> {
-    /// Number of units in this view.
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
-    /// Reborrows one unit's banks (view-local unit index).
-    pub fn unit_mut(&mut self, unit: usize) -> BanksMut<'_> {
-        let bpu = self.banks_per_unit;
-        let r = unit * bpu..(unit + 1) * bpu;
+        let r = unit * self.banks_per_unit..(unit + 1) * self.banks_per_unit;
         BanksMut {
             open_row: &mut self.open_row[r.clone()],
             ready_at: &mut self.ready_at[r.clone()],
@@ -143,71 +79,6 @@ impl<'a> BanksViewMut<'a> {
             precharge_ok_at: &mut self.precharge_ok_at[r.clone()],
             row_busy_until: &mut self.row_busy_until[r],
         }
-    }
-
-    /// Reborrows the whole view with a shorter lifetime — lets an owner
-    /// split the same view repeatedly (e.g. once per barrier window).
-    pub fn reborrow(&mut self) -> BanksViewMut<'_> {
-        BanksViewMut {
-            units: self.units,
-            banks_per_unit: self.banks_per_unit,
-            open_row: &mut *self.open_row,
-            ready_at: &mut *self.ready_at,
-            row_data_ready: &mut *self.row_data_ready,
-            precharge_ok_at: &mut *self.precharge_ok_at,
-            row_busy_until: &mut *self.row_busy_until,
-        }
-    }
-
-    /// Consumes the view, yielding one unit's banks with the full view
-    /// lifetime (view-local unit index).
-    pub fn into_unit_mut(self, unit: usize) -> BanksMut<'a> {
-        let bpu = self.banks_per_unit;
-        let r = unit * bpu..(unit + 1) * bpu;
-        BanksMut {
-            open_row: &mut self.open_row[r.clone()],
-            ready_at: &mut self.ready_at[r.clone()],
-            row_data_ready: &mut self.row_data_ready[r.clone()],
-            precharge_ok_at: &mut self.precharge_ok_at[r.clone()],
-            row_busy_until: &mut self.row_busy_until[r],
-        }
-    }
-
-    /// Splits into disjoint contiguous sub-views of `units_per_chunk`
-    /// units each (must divide the view's unit count). Implemented as a
-    /// zip of per-array `chunks_mut`, the same idiom as the lane-ring
-    /// substrate, so each sub-view stays a set of plain slices.
-    pub fn chunks_mut(self, units_per_chunk: usize) -> impl Iterator<Item = BanksViewMut<'a>> {
-        assert!(units_per_chunk > 0, "chunks_mut: zero units per chunk");
-        assert!(
-            self.units.is_multiple_of(units_per_chunk),
-            "chunks_mut: {} units not divisible by {units_per_chunk}",
-            self.units,
-        );
-        let bpu = self.banks_per_unit;
-        let n = units_per_chunk * bpu;
-        self.open_row
-            .chunks_mut(n)
-            .zip(self.ready_at.chunks_mut(n))
-            .zip(self.row_data_ready.chunks_mut(n))
-            .zip(self.precharge_ok_at.chunks_mut(n))
-            .zip(self.row_busy_until.chunks_mut(n))
-            .map(
-                move |(
-                    (((open_row, ready_at), row_data_ready), precharge_ok_at),
-                    row_busy_until,
-                )| {
-                    BanksViewMut {
-                        units: units_per_chunk,
-                        banks_per_unit: bpu,
-                        open_row,
-                        ready_at,
-                        row_data_ready,
-                        precharge_ok_at,
-                        row_busy_until,
-                    }
-                },
-            )
     }
 }
 
@@ -440,26 +311,6 @@ mod tests {
                 assert_eq!(unit.open_row(bank), None, "unit {u} bank {bank}");
             }
         }
-    }
-
-    #[test]
-    fn views_split_units_contiguously() {
-        let tm = t();
-        let mut pool = BankPool::new(4, 2);
-        // Mark bank 1 of every unit with the unit index as the row.
-        for u in 0..4 {
-            pool.unit_mut(u).access(&tm, 1, 0.0, 0.0, u as u64 + 10);
-        }
-        let views: Vec<_> = pool.views_mut(2).collect();
-        assert_eq!(views.len(), 2);
-        let mut seen = Vec::new();
-        for mut v in views {
-            assert_eq!(v.units(), 2);
-            for local in 0..2 {
-                seen.push(v.unit_mut(local).open_row(1).unwrap());
-            }
-        }
-        assert_eq!(seen, vec![10, 11, 12, 13]);
     }
 
     #[test]

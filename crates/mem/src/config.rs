@@ -194,9 +194,9 @@ impl Default for McConfig {
 
 /// The geometry one pseudo-channel's address decode needs: a small
 /// `Copy` subset of [`HbmConfig`] kept inline in every [`crate::PchDram`]
-/// so the hot path never chases a full config clone (32 PCHs × K
-/// lockstep lanes would otherwise each carry ~200 bytes of fabric-level
-/// fields they never read).
+/// so the hot path never chases a full config clone (32 PCHs would
+/// otherwise each carry ~200 bytes of fabric-level fields they never
+/// read).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PchGeometry {
     /// Capacity per pseudo-channel in bytes.
@@ -292,9 +292,9 @@ impl HbmConfig {
 
     /// The refresh-phase offset (in nanoseconds) of pseudo-channel
     /// `port`: refresh windows are staggered evenly across the device so
-    /// all channels never pause simultaneously. Every system assembly —
-    /// scalar or batched — must derive controller phases from this one
-    /// formula, or their measurements diverge.
+    /// all channels never pause simultaneously. Every system assembly
+    /// must derive controller phases from this one formula, or their
+    /// measurements diverge.
     pub fn refresh_phase(&self, port: usize) -> f64 {
         port as f64 / self.num_pch as f64 * self.timings.t_refi
     }

@@ -60,7 +60,7 @@ pub mod pch;
 pub mod stats;
 
 pub use address::{row_segments, PchAddress, RowSegments};
-pub use bank::{BankPool, BanksMut, BanksViewMut, PageOutcome};
+pub use bank::{BankPool, BanksMut, PageOutcome};
 pub use config::{AddressMapPolicy, HbmConfig, McConfig, PagePolicy, PchGeometry, Timings};
 pub use controller::MemoryController;
 pub use pch::PchDram;

@@ -12,7 +12,7 @@
 #   4. Check the span log file carries one JSONL span per finished job.
 #   5. Shut down, then run `repro profile --smoke` — asserts the
 #      phase-attribution self-consistency invariant (phase sums equal
-#      the measured loop time exactly, both kernels) and the <5 %
+#      the measured loop time exactly) and the <5 %
 #      metrics-registry overhead budget.
 #   6. Metrics off must cost nothing observable: `--metrics` stdout is
 #      byte-identical to the plain run (recording never reaches the
@@ -72,8 +72,7 @@ validate_exposition() {
   for series in \
     hbm_cache_hits_total hbm_cache_misses_total hbm_cache_coalesced_total \
     hbm_serve_queue_wait_us hbm_serve_jobs_total hbm_serve_queued_points \
-    hbm_serve_workers hbm_run_measurements_total hbm_kernel_phase_ns_total \
-    hbm_batch_grids_total; do
+    hbm_serve_workers hbm_run_measurements_total hbm_kernel_phase_ns_total; do
     grep -q "^# TYPE ${series} " "$f" || { echo "exposition missing ${series}"; exit 1; }
   done
   # HELP precedes TYPE for every family.
