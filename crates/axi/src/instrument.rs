@@ -32,8 +32,9 @@
 //!   records are retained up to a configurable cap (beyond it only the
 //!   histograms keep growing).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -423,8 +424,7 @@ impl AttrHists {
 /// log of delivered records (in delivery order — deterministic), and the
 /// per-direction attribution histograms.
 ///
-/// Components hold it through a [`SharedTracer`] handle, which routes
-/// every stamp to a per-shard partition.
+/// Components hold it through a [`SharedTracer`] handle.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     live: HashMap<TxnKey, TxnRecord, BuildKeyHasher>,
@@ -437,54 +437,31 @@ pub struct Tracer {
     pub write_attr: AttrHists,
 }
 
-/// Shared, thread-safe handle to a partitioned [`Tracer`].
-///
-/// The side-table is split into one partition per fabric shard,
-/// keyed by the *issuing master*: master `m` stamps into partition
-/// `m / masters_per_part`. Every lifecycle stamp of one transaction —
-/// ingress, lateral hops, MC enqueue, DRAM issue, delivery — carries the
-/// issuing master, so a transaction lives its whole life in one partition
-/// no matter which shard touches it. Partitioning is fixed at
-/// construction:
-///
-/// * a partition's `done` log holds the deliveries of its own masters, in
-///   deterministic delivery order;
-/// * cross-shard stamps (a lateral hop recorded by a transit shard) mutate
-///   only the transaction's own record;
-/// * [`SharedTracer::snapshot`] merges the partitions into one [`Tracer`]
-///   whose record order — stable-sorted by `(delivered_at, master)` — is
-///   the monolithic delivery order.
-///
-/// The retained-record cap applies *per partition*.
+/// Shared handle to one [`Tracer`]: the fabric, every memory controller
+/// and the system stamp into the same side-table. A simulation runs on
+/// one thread, so the handle is a plain `Rc<RefCell<Tracer>>`; stamps
+/// land in the order the simulation makes them, which is the delivery
+/// order of the retained records.
 #[derive(Debug, Clone)]
-pub struct SharedTracer {
-    parts: Arc<[Mutex<Tracer>]>,
-    masters_per_part: usize,
-}
+pub struct SharedTracer(Rc<RefCell<Tracer>>);
 
 impl SharedTracer {
-    #[inline]
-    fn part(&self, master: u16) -> &Mutex<Tracer> {
-        let idx = (master as usize / self.masters_per_part).min(self.parts.len() - 1);
-        &self.parts[idx]
-    }
-
     /// Stamp: the fabric accepted `txn` at its ingress port.
     #[inline]
     pub fn ingress_accept(&self, now: Cycle, txn: &Transaction) {
-        self.part(txn.master.0).lock().unwrap().ingress_accept(now, txn);
+        self.0.borrow_mut().ingress_accept(now, txn);
     }
 
     /// Stamp: the flit of `(master, seq)` was granted onto a lateral bus.
     #[inline]
     pub fn lateral_hop(&self, now: Cycle, master: u16, seq: u64) {
-        self.part(master).lock().unwrap().lateral_hop(now, master, seq);
+        self.0.borrow_mut().lateral_hop(now, master, seq);
     }
 
     /// Stamp: memory controller `port` enqueued `txn`.
     #[inline]
     pub fn mc_enqueue(&self, now: Cycle, txn: &Transaction, port: u16) {
-        self.part(txn.master.0).lock().unwrap().mc_enqueue(now, txn, port);
+        self.0.borrow_mut().mc_enqueue(now, txn, port);
     }
 
     /// Stamp: first DRAM command / data burst / service completion times.
@@ -496,42 +473,19 @@ impl SharedTracer {
         data_start_at: Cycle,
         done_at: Cycle,
     ) {
-        self.part(txn.master.0).lock().unwrap().dram_issue(txn, cmd_at, data_start_at, done_at);
+        self.0.borrow_mut().dram_issue(txn, cmd_at, data_start_at, done_at);
     }
 
     /// Stamp: the completion reached its master.
     #[inline]
     pub fn delivered(&self, now: Cycle, txn: &Transaction) {
-        self.part(txn.master.0).lock().unwrap().delivered(now, txn);
+        self.0.borrow_mut().delivered(now, txn);
     }
 
-    /// Number of partitions (one per fabric shard).
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Merges all partitions into one coherent [`Tracer`] view.
-    ///
-    /// Delivered records are stable-sorted by `(delivered_at, master)`;
-    /// because partitions cover contiguous ascending master ranges and each
-    /// partition's log is already in delivery order, the merged order equals
-    /// the monolithic tracer's delivery order. Call this only at a quiescent
+    /// A copy of the tracer's current state. Call this at a quiescent
     /// point (between run windows); it clones the retained records.
     pub fn snapshot(&self) -> Tracer {
-        let mut merged = self.parts[0].lock().unwrap().clone();
-        for part in &self.parts[1..] {
-            let p = part.lock().unwrap();
-            merged.live.extend(p.live.iter().map(|(k, v)| (*k, *v)));
-            merged.done.extend_from_slice(&p.done);
-            merged.capacity += p.capacity;
-            merged.dropped += p.dropped;
-            merged.read_attr.merge(&p.read_attr);
-            merged.write_attr.merge(&p.write_attr);
-        }
-        if self.parts.len() > 1 {
-            merged.done.sort_by_key(|r| (r.delivered_at, r.master));
-        }
-        merged
+        self.0.borrow().clone()
     }
 }
 
@@ -552,19 +506,9 @@ impl Tracer {
         }
     }
 
-    /// A shared single-partition tracer (monolithic fabrics).
+    /// A shared tracer retaining up to `record_cap` delivered records.
     pub fn shared(record_cap: usize) -> SharedTracer {
-        Tracer::sharded(record_cap, 1, usize::MAX)
-    }
-
-    /// A shared tracer with one partition per fabric shard. Master `m`
-    /// stamps into partition `m / masters_per_part` (clamped to the last
-    /// partition); `record_cap` applies per partition.
-    pub fn sharded(record_cap: usize, parts: usize, masters_per_part: usize) -> SharedTracer {
-        let parts = parts.max(1);
-        let table: Vec<Mutex<Tracer>> =
-            (0..parts).map(|_| Mutex::new(Tracer::new(record_cap))).collect();
-        SharedTracer { parts: table.into(), masters_per_part: masters_per_part.max(1) }
+        SharedTracer(Rc::new(RefCell::new(Tracer::new(record_cap))))
     }
 
     /// Stamp: the fabric accepted `txn` at its ingress port. Creates the

@@ -78,8 +78,27 @@
 //! appends one JSONL job-lifecycle span per finished job. See
 //! `examples/serve_client.rs` for a full client.
 
+use hbm_bench::cli::{Cli, Spec};
 use hbm_bench::render;
 use hbm_core::experiment::{self, Fidelity};
+
+/// Every positional, switch and value flag `repro` reads.
+static REPRO: Spec = Spec {
+    prog: "repro",
+    usage: USAGE,
+    verbs: VERBS,
+    switches: &["--quick", "--json", "--smoke", "--no-cache", "--metrics", "--adaptive"],
+    value_flags: &[
+        "--fidelity",
+        "--out",
+        "--jobs",
+        "--cache-dir",
+        "--addr",
+        "--queue",
+        "--metrics-addr",
+        "--span-log",
+    ],
+};
 
 /// The synopsis printed by `--help` and on any argument error.
 const USAGE: &str = "\
@@ -116,80 +135,6 @@ const VERBS: &[&str] = &[
     "all",
     "serve",
 ];
-
-/// Flags that take no value.
-const SWITCHES: &[&str] =
-    &["--quick", "--json", "--smoke", "--no-cache", "--metrics", "--adaptive"];
-
-/// Flags that take a value, as `--flag V` or `--flag=V`.
-const VALUE_FLAGS: &[&str] = &[
-    "--fidelity",
-    "--out",
-    "--jobs",
-    "--cache-dir",
-    "--addr",
-    "--queue",
-    "--metrics-addr",
-    "--span-log",
-];
-
-/// Prints `msg` and the usage to stderr and exits 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-/// The command line, checked against [`VERBS`], [`SWITCHES`] and
-/// [`VALUE_FLAGS`]. Values are validated later, by their consumers.
-struct Cli {
-    switches: Vec<&'static str>,
-    values: Vec<(&'static str, String)>,
-    verbs: Vec<String>,
-}
-
-impl Cli {
-    /// Parses `args`, exiting 0 on `--help` and 2 on anything unknown.
-    fn parse(args: &[String]) -> Cli {
-        let mut cli = Cli { switches: Vec::new(), values: Vec::new(), verbs: Vec::new() };
-        let mut rest = args.iter();
-        while let Some(a) = rest.next() {
-            if a == "--help" || a == "-h" {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            if let Some(&flag) = SWITCHES.iter().find(|&&f| f == a) {
-                cli.switches.push(flag);
-            } else if a.starts_with('-') {
-                let (name, inline) = match a.split_once('=') {
-                    Some((name, v)) => (name, Some(v.to_string())),
-                    None => (a.as_str(), None),
-                };
-                let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == name) else {
-                    usage_error(&format!("unknown flag {a:?}"));
-                };
-                let value = inline.or_else(|| rest.next().cloned()).unwrap_or_else(|| {
-                    usage_error(&format!("{flag} requires a value"));
-                });
-                cli.values.push((flag, value));
-            } else if VERBS.contains(&a.as_str()) {
-                cli.verbs.push(a.clone());
-            } else {
-                usage_error(&format!("unknown experiment {a:?}"));
-            }
-        }
-        cli
-    }
-
-    fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
-    }
-
-    /// The last value given for `flag`.
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
-    }
-}
 
 fn emit_json(name: &str, rows: impl serde::Serialize) {
     println!("{}", serde_json::json!({ "experiment": name, "rows": rows }));
@@ -316,12 +261,7 @@ fn run_serve(cli: &Cli) {
     use hbm_serve::{MetricsExposer, ServeConfig, Server, WireServer};
 
     let addr = cli.value("--addr").unwrap_or("127.0.0.1:7070").to_string();
-    let queue_capacity = cli.value("--queue").map_or(4_096, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--queue: invalid point count {v:?}");
-            std::process::exit(2);
-        })
-    });
+    let queue_capacity = cli.parsed("--queue", 4_096, "a point count", |v| v.parse().ok());
     let metrics_addr = cli.value("--metrics-addr");
     let span_log = cli.value("--span-log").map(std::path::PathBuf::from);
 
@@ -374,28 +314,13 @@ fn run_trace(smoke: bool, quick: bool, json: bool) {
     }
 }
 
-/// Parses a `--jobs` value through the one shared validator, exiting
-/// loudly (and non-zero) on anything that is not a positive integer.
-fn parse_jobs_or_die(v: &str) -> usize {
-    hbm_core::batch::parse_jobs(v).unwrap_or_else(|e| {
-        eprintln!("--jobs: {e}");
-        eprintln!("usage: --jobs N (N a positive integer)");
-        std::process::exit(2);
-    })
-}
-
-/// Parses a `--fidelity` value, exiting 2 with usage on anything that is
-/// not one of the three stable tier names.
-fn parse_fidelity_or_die(v: &str) -> Fidelity {
+/// The sweep fidelity named by a `--fidelity` value.
+fn fidelity_of(v: &str) -> Option<Fidelity> {
     match v {
-        "quick" => Fidelity::QUICK,
-        "full" => Fidelity::FULL,
-        "analytical" => Fidelity::ANALYTICAL,
-        other => {
-            eprintln!("--fidelity: unknown tier {other:?}");
-            eprintln!("usage: --fidelity quick|full|analytical");
-            std::process::exit(2);
-        }
+        "quick" => Some(Fidelity::QUICK),
+        "full" => Some(Fidelity::FULL),
+        "analytical" => Some(Fidelity::ANALYTICAL),
+        _ => None,
     }
 }
 
@@ -466,7 +391,7 @@ fn report_cache() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::parse(&args);
+    let cli = Cli::parse(&REPRO, &args);
     let quick = cli.has("--quick");
     let json = cli.has("--json");
     let smoke = cli.has("--smoke");
@@ -474,13 +399,15 @@ fn main() {
     if cli.has("--metrics") {
         hbm_core::metrics::set_enabled(true);
     }
-    let fidelity_value = cli.value("--fidelity").map(parse_fidelity_or_die);
-    let jobs_value = cli.value("--jobs").map(parse_jobs_or_die);
-    let cache_dir = cli.value("--cache-dir");
-    let out_path = cli.value("--out");
     // --fidelity wins over --quick; --adaptive turns every run_all grid
     // into an analytical-first multi-fidelity sweep.
-    let fid = fidelity_value.unwrap_or(if quick { Fidelity::QUICK } else { Fidelity::FULL });
+    let default_fid = if quick { Fidelity::QUICK } else { Fidelity::FULL };
+    let fid = cli.parsed("--fidelity", default_fid, "quick|full|analytical", fidelity_of);
+    let jobs_value = cli.parsed("--jobs", None, "a positive integer", |v| {
+        hbm_core::batch::parse_jobs(v).ok().map(Some)
+    });
+    let cache_dir = cli.value("--cache-dir");
+    let out_path = cli.value("--out");
     if cli.has("--adaptive") {
         hbm_core::experiment::set_adaptive(true);
     }
@@ -499,7 +426,7 @@ fn main() {
     }
     if cli.verbs.iter().any(|v| v == "serve") {
         if cli.verbs.len() > 1 {
-            usage_error("serve takes no experiments");
+            REPRO.fail("serve takes no experiments");
         }
         // The daemon defaults the memory-tier cache on: repeated or
         // overlapping client grids are exactly what it exists to absorb.

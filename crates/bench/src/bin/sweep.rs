@@ -7,39 +7,71 @@
 //! ```
 //!
 //! Prints one CSV row per grid point to stdout (redirect to a file for
-//! plotting). Every figure of the paper is a slice of this grid.
+//! plotting). Every figure of the paper is a slice of this grid. An
+//! unknown flag or a bad fabric, pattern or number prints usage to
+//! stderr and exits 2; `--help` prints usage and exits 0.
 
 use hbm_axi::BurstLen;
+use hbm_bench::cli::{Cli, Spec};
 use hbm_core::prelude::*;
 
-fn parse_list<'a>(args: &'a [String], flag: &str, default: &'a str) -> Vec<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-        .unwrap_or(default)
-        .split(',')
-        .map(str::to_string)
-        .collect()
-}
-
-fn parse_num(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("numeric flag value"))
-        .unwrap_or(default)
-}
+/// Every flag `sweep` reads; it takes no positionals.
+static SWEEP: Spec = Spec {
+    prog: "sweep",
+    usage: "\
+usage: sweep [--fabrics xlnx,mao,direct] [--patterns scs,ccs,scra,ccra]
+             [--bursts 1,2,4,8,16] [--rotations 0]
+             [--warmup N] [--cycles N] [--threads N]
+       sweep --help",
+    verbs: &[],
+    switches: &[],
+    value_flags: &[
+        "--fabrics",
+        "--patterns",
+        "--bursts",
+        "--rotations",
+        "--warmup",
+        "--cycles",
+        "--threads",
+    ],
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fabrics = parse_list(&args, "--fabrics", "xlnx,mao");
-    let patterns = parse_list(&args, "--patterns", "scs,ccs,scra,ccra");
-    let bursts = parse_list(&args, "--bursts", "1,2,4,8,16");
-    let rotations = parse_list(&args, "--rotations", "0");
-    let warmup = parse_num(&args, "--warmup", 2_000);
-    let cycles = parse_num(&args, "--cycles", 8_000);
-    let threads = parse_num(&args, "--threads", hbm_core::batch::default_threads() as u64) as usize;
+    let cli = Cli::parse(&SWEEP, &args);
+    let fabrics = cli.parsed_list("--fabrics", "xlnx,mao", "xlnx|mao|direct", |f| {
+        let cfg = match f {
+            "xlnx" => SystemConfig::xilinx(),
+            "mao" => SystemConfig::mao(),
+            "direct" => SystemConfig::direct(),
+            _ => return None,
+        };
+        Some((f.to_string(), cfg))
+    });
+    let patterns = cli.parsed_list("--patterns", "scs,ccs,scra,ccra", "scs|ccs|scra|ccra", |p| {
+        let wl = match p {
+            "scs" => Workload::scs(),
+            "ccs" => Workload::ccs(),
+            "scra" => Workload::scra(),
+            "ccra" => Workload::ccra(),
+            _ => return None,
+        };
+        Some((p.to_string(), wl))
+    });
+    let bursts = cli.parsed_list("--bursts", "1,2,4,8,16", "burst lengths 1..=16", |b| {
+        BurstLen::new(b.parse().ok()?)
+    });
+    let rotations = cli.parsed_list("--rotations", "0", "rotations 0..=31", |r| {
+        r.parse::<usize>().ok().filter(|&r| r < 32)
+    });
+    let warmup = cli.parsed("--warmup", 2_000, "a cycle count", |v| v.parse::<u64>().ok());
+    let cycles = cli.parsed("--cycles", 8_000, "a positive cycle count", |v| {
+        v.parse::<u64>().ok().filter(|&c| c > 0)
+    });
+    let threads =
+        cli.parsed("--threads", hbm_core::batch::default_threads(), "a positive integer", |v| {
+            hbm_core::batch::parse_jobs(v).ok()
+        });
 
     println!(
         "fabric,pattern,burst,rotation,read_gbps,write_gbps,total_gbps,\
@@ -49,39 +81,19 @@ fn main() {
     // Build the grid first, then fan it out over threads.
     let mut labels: Vec<(String, String, u8, usize)> = Vec::new();
     let mut grid: Vec<hbm_core::batch::GridPoint> = Vec::new();
-    for fabric in &fabrics {
-        let cfg = match fabric.as_str() {
-            "xlnx" => SystemConfig::xilinx(),
-            "mao" => SystemConfig::mao(),
-            "direct" => SystemConfig::direct(),
-            other => panic!("unknown fabric {other:?}"),
-        };
-        for pattern in &patterns {
-            let base = match pattern.as_str() {
-                "scs" => Workload::scs(),
-                "ccs" => Workload::ccs(),
-                "scra" => Workload::scra(),
-                "ccra" => Workload::ccra(),
-                other => panic!("unknown pattern {other:?}"),
-            };
+    for (fabric, cfg) in &fabrics {
+        for (pattern, base) in &patterns {
             // The direct fabric only supports single-channel locality.
             if fabric == "direct" && matches!(base.pattern, Pattern::Ccs | Pattern::Ccra) {
                 continue;
             }
-            for burst in &bursts {
-                let beats: u8 = burst.parse().expect("burst 1..=16");
-                for rotation in &rotations {
-                    let rot: usize = rotation.parse().expect("rotation 0..=31");
+            for &burst in &bursts {
+                for &rot in &rotations {
                     if rot != 0 && (fabric == "direct" || !matches!(base.pattern, Pattern::Scs)) {
                         continue;
                     }
-                    let wl = Workload {
-                        burst: BurstLen::of(beats),
-                        stride: BurstLen::of(beats).bytes(),
-                        rotation: rot,
-                        ..base
-                    };
-                    labels.push((fabric.clone(), pattern.clone(), beats, rot));
+                    let wl = Workload { burst, stride: burst.bytes(), rotation: rot, ..*base };
+                    labels.push((fabric.clone(), pattern.clone(), burst.beats(), rot));
                     grid.push((cfg.clone(), wl));
                 }
             }

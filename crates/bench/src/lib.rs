@@ -1,12 +1,13 @@
 //! # hbm-bench — reproduction harness
 //!
 //! Shared code for the `repro` binary (which regenerates every table and
-//! figure of the paper) and the Criterion benches.
+//! figure of the paper), the `sweep` binary, and the Criterion benches.
 //!
 //! The paper's reference values are embedded as constants so every
 //! report prints *paper vs. measured* side by side; EXPERIMENTS.md is
 //! written from this output.
 
+pub mod cli;
 pub mod fig7;
 pub mod paper;
 pub mod profilecmd;

@@ -19,7 +19,7 @@
 //! * [`metrics`] — workspace-wide metric registry (atomic counters,
 //!   gauges, power-of-two histograms) with Prometheus text exposition;
 //! * [`profile`] — sampled kernel phase profiler attributing cycle-loop
-//!   wall time to gens/fabric/MC/horizon/queue/reconcile phases (see
+//!   wall time to gens/fabric/MC/horizon/queue phases (see
 //!   `repro profile`);
 //! * [`report`] — plain-text table and JSON rendering;
 //! * [`probe`] — windowed time-series sampling of a running system;

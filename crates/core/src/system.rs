@@ -355,18 +355,10 @@ impl HbmSystem {
     /// observation-only: a traced run is bit-identical to an untraced one
     /// (enforced by the `fastpath_equivalence` property tests).
     ///
-    /// On the Xilinx fabric the tracer is partitioned per switch
-    /// (`record_cap` completed records per partition);
-    /// [`SharedTracer::snapshot`] merges partitions back into the
-    /// monolithic delivery order.
+    /// Every fabric stamps into one tracer; `record_cap` bounds the
+    /// retained records of the whole system, in delivery order.
     pub fn enable_tracing(&mut self, record_cap: usize) -> SharedTracer {
-        let tracer = match self.cfg.fabric {
-            FabricKind::Xilinx | FabricKind::XilinxTweaked(_) => {
-                let fc = self.cfg.xilinx_fabric_config();
-                Tracer::sharded(record_cap, fc.num_switches, fc.masters_per_switch)
-            }
-            _ => Tracer::shared(record_cap),
-        };
+        let tracer = Tracer::shared(record_cap);
         self.fabric.attach_tracer(tracer.clone());
         for (p, mc) in self.mcs.iter_mut().enumerate() {
             mc.attach_tracer(p as u16, tracer.clone());

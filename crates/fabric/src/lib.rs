@@ -54,7 +54,6 @@ pub mod direct;
 pub mod fullxbar;
 mod idtrack;
 pub mod link;
-mod shard;
 pub mod stats;
 pub mod xilinx;
 

@@ -1,6 +1,6 @@
 //! Serialized, pipelined bus links and the flits they carry.
 
-use hbm_axi::{Completion, Cycle, DelayQueue, Transaction};
+use hbm_axi::{Completion, Cycle, DelayQueue, StampedRing, Transaction};
 
 use crate::stats::LinkStats;
 
@@ -164,6 +164,96 @@ impl<T> SerialLink<T> {
     }
 }
 
+/// A lateral channel between adjacent switches of the Xilinx fabric: a
+/// [`SerialLink`] whose slots return to the sender `latency` cycles after
+/// the receiving switch pops them — the credit crosses the same switch
+/// boundary the data did.
+///
+/// Data and freed slots are both delayed by `latency ≥ 1`, so nothing one
+/// end does to the channel in a cycle reaches the other end before the
+/// next cycle. That is why the fabric can tick its switches one after
+/// another within a cycle (DESIGN.md §3.3).
+#[derive(Debug, Clone)]
+pub(crate) struct LateralLink {
+    link: SerialLink<Flit>,
+    latency: Cycle,
+    /// Cycles at which popped slots become free again, ascending. Popped
+    /// slots plus queued flits never exceed the capacity, so the ring is
+    /// sized to it.
+    freed: StampedRing<()>,
+    /// Deepest occupancy seen at the end of a fabric tick.
+    peak: usize,
+}
+
+impl LateralLink {
+    /// Creates a channel; the arguments are those of [`SerialLink::new`].
+    pub fn new(rate: f64, dead_beats: f64, capacity: usize, latency: Cycle) -> LateralLink {
+        assert!(latency >= 1, "lateral latency must be >= 1 (no same-cycle hops)");
+        LateralLink {
+            link: SerialLink::new(rate, dead_beats, capacity, latency),
+            latency,
+            freed: StampedRing::new(capacity),
+            peak: 0,
+        }
+    }
+
+    /// `true` if a flit could be sent at `now`: the link is idle and
+    /// queued flits plus slots still on their way back leave room.
+    #[inline]
+    pub fn can_send(&self, now: Cycle) -> bool {
+        let returning = self.freed.len() - self.freed.ready_len(now);
+        self.link.can_send(now) && self.link.len() + returning < self.freed.capacity()
+    }
+
+    /// Sends a flit as [`SerialLink::send`] does, after taking back every
+    /// slot that has returned by `now`.
+    pub fn send(&mut self, now: Cycle, src: u16, cost_beats: u64, flit: Flit) {
+        while self.freed.pop(now).is_some() {}
+        let used = self.link.len() + self.freed.len();
+        assert!(used < self.freed.capacity(), "send on a full lateral channel");
+        self.link.send(now, src, cost_beats, flit);
+    }
+
+    /// The ready head at the receiving switch.
+    #[inline]
+    pub fn peek(&self, now: Cycle) -> Option<&Flit> {
+        self.link.peek(now)
+    }
+
+    /// Pops the ready head; its slot returns to the sender at
+    /// `now + latency`.
+    pub fn pop(&mut self, now: Cycle) -> Option<Flit> {
+        let flit = self.link.pop(now)?;
+        let pushed = self.freed.push_at(now + self.latency, ());
+        debug_assert!(pushed.is_ok(), "queued plus returning slots never exceed capacity");
+        Some(flit)
+    }
+
+    /// Records the current occupancy as a candidate peak. The fabric calls
+    /// it at the end of every tick that sent on this channel, so the peak
+    /// counts what the channel holds between cycles.
+    #[inline]
+    pub fn note_peak(&mut self) {
+        self.peak = self.peak.max(self.link.len());
+    }
+
+    /// Deepest end-of-tick occupancy since construction.
+    pub fn high_water(&self) -> usize {
+        self.peak
+    }
+
+    /// The underlying link, for occupancy, horizon and traffic counters.
+    #[inline]
+    pub fn link(&self) -> &SerialLink<Flit> {
+        &self.link
+    }
+
+    /// Clears traffic counters.
+    pub fn reset_stats(&mut self) {
+        self.link.reset_stats();
+    }
+}
+
 /// Minimum head-delivery time over a set of links, clamped to `now` —
 /// the links' joint contribution to a fabric's next-event horizon.
 ///
@@ -255,6 +345,69 @@ mod tests {
         assert!(!l.can_send(10));
         l.pop(10);
         assert!(l.can_send(10));
+    }
+
+    fn flit(seq: u64) -> Flit {
+        let t =
+            Transaction::new(MasterId(0), AxiId(0), 0, BurstLen::of(1), Dir::Read, 0, seq).unwrap();
+        Flit::Req(t)
+    }
+
+    fn seq_of(f: &Flit) -> u64 {
+        match f {
+            Flit::Req(t) => t.seq,
+            Flit::Resp(c) => c.txn.seq,
+        }
+    }
+
+    #[test]
+    fn lateral_delivery_waits_hop_latency() {
+        let mut l = LateralLink::new(1.0, 0.0, 4, 2);
+        l.send(10, 0, 1, flit(7));
+        assert!(l.peek(11).is_none());
+        assert_eq!(l.link().next_ready_at(), Some(12));
+        assert_eq!(seq_of(&l.pop(12).unwrap()), 7);
+    }
+
+    #[test]
+    fn lateral_slot_returns_hop_latency_after_pop() {
+        let mut l = LateralLink::new(1.0, 0.0, 2, 2);
+        l.send(0, 0, 1, flit(0));
+        l.send(1, 0, 1, flit(1));
+        assert!(!l.can_send(2), "capacity 2 exhausted");
+        l.pop(2).unwrap();
+        // The slot popped at 2 frees at 2 + hop_latency = 4.
+        assert!(!l.can_send(2));
+        assert!(!l.can_send(3));
+        assert!(l.can_send(4));
+        l.send(4, 0, 1, flit(2));
+        assert!(!l.can_send(5), "the returned slot was taken again");
+    }
+
+    #[test]
+    fn lateral_serialization_and_dead_beats_match_serial_link() {
+        let mut l = LateralLink::new(1.0, 2.0, 16, 1);
+        l.send(0, 0, 4, flit(0));
+        assert!(!l.can_send(3));
+        assert!(l.can_send(4));
+        // Grant switch: 1 beat + 2 dead beats.
+        l.send(4, 1, 1, flit(1));
+        assert!(!l.can_send(6));
+        assert!(l.can_send(7));
+        assert_eq!(l.link().stats().grant_switches, 1);
+        assert_eq!(l.link().stats().beats, 5);
+    }
+
+    #[test]
+    fn lateral_peak_counts_end_of_tick_occupancy() {
+        let mut l = LateralLink::new(1.0, 0.0, 4, 1);
+        l.send(0, 0, 1, flit(0));
+        l.note_peak();
+        // A send and a pop in the same cycle leave the occupancy at 1.
+        l.send(1, 0, 1, flit(1));
+        l.pop(1).unwrap();
+        l.note_peak();
+        assert_eq!(l.high_water(), 1);
     }
 
     #[test]

@@ -22,15 +22,18 @@
 //! requests stall at ingress. The MAO removes this stall with reorder
 //! buffers — a large part of its random-access win (paper Fig. 6).
 //!
-//! Structurally, the fabric is a chain of per-switch shards (the private
-//! `shard` module): each mini switch owns all of its local state and
-//! talks to its neighbours only through cycle-stamped lateral ports,
-//! reconciled once per cycle at the end of [`tick`](Interconnect::tick).
+//! The fabric is one sequential model. It owns every link in flat,
+//! globally indexed arrays; the links between adjacent switches are
+//! lateral channels (`link::LateralLink`), whose data and freed slots
+//! both take `hop_latency` cycles to cross the boundary.
+//! [`tick`](Interconnect::tick) arbitrates the switches one after another
+//! in index order (DESIGN.md §3.3).
 
 use hbm_axi::{Addr, ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
-use crate::shard::SwitchShard;
+use crate::idtrack::IdTracker;
+use crate::link::{horizon, Flit, LateralLink, SerialLink};
 use crate::stats::{FabricStats, LinkStats};
 use crate::Interconnect;
 
@@ -117,28 +120,132 @@ impl FabricConfig {
     }
 }
 
-/// The segmented switch network: a chain of per-switch shards joined by
-/// explicit lateral ports.
+/// The link a switch's arbitration slot is wired to. On the input side
+/// `Master`/`Mc` index `master_in`/`mc_in`, on the output side
+/// `master_out`/`mc_out`; `Lateral` indexes `lateral` on both.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Master(usize),
+    Mc(usize),
+    Lateral(usize),
+}
+
+/// Index into [`XilinxFabric`]'s lateral channels of eastward channel `k`
+/// of boundary `nb` (between switches `nb` and `nb + 1`). Each boundary
+/// holds `4 * buses` channels: the eastward `k = 2 * bus + ch` (ch 0
+/// carries right-bus requests, 1 left-bus responses), then the westward
+/// ones (ch 0 left-bus requests, 1 right-bus responses) — see [`west`].
+fn east(buses: usize, nb: usize, k: usize) -> usize {
+    nb * 4 * buses + k
+}
+
+/// Index of westward channel `k` of boundary `nb` (see [`east`]).
+fn west(buses: usize, nb: usize, k: usize) -> usize {
+    east(buses, nb, 2 * buses + k)
+}
+
+/// The segmented switch network: eight 4×4 crossbars joined by lateral
+/// channels whose data *and* freed slots are delayed by `hop_latency`.
 ///
-/// Each shard owns its four masters' ingress/egress links, its four
-/// pseudo-channel links, and the local crossbar's arbitration state;
-/// shards exchange flits only through cycle-stamped lateral channel
-/// pairs whose data *and* queue credits are delayed by `hop_latency`.
-/// [`tick`](Interconnect::tick) advances every shard and then reconciles
-/// all boundaries, so no same-cycle information ever crosses a switch
-/// (DESIGN.md §3.3).
+/// Every switch arbitrates over its input slots — local masters, local
+/// controllers, then the eastward channels of boundary `s-1` and the
+/// westward channels of boundary `s` — into its output slots: local
+/// controllers, local masters, then the eastward channels of boundary `s`
+/// and the westward channels of boundary `s-1`. Each group of lateral
+/// channels is laid out `[bus0 req, bus0 resp, bus1 req, bus1 resp]`.
 pub struct XilinxFabric {
     cfg: FabricConfig,
     map: ContiguousMap,
-    shards: Vec<SwitchShard>,
+    /// Request ingress, one per master.
+    master_in: Vec<SerialLink>,
+    /// Completion egress, one per master.
+    master_out: Vec<SerialLink>,
+    /// Completion ingress, one per controller.
+    mc_in: Vec<SerialLink>,
+    /// Request egress, one per controller.
+    mc_out: Vec<SerialLink>,
+    /// `4 * lateral_buses` channels per switch boundary, indexed by
+    /// [`east`] and [`west`].
+    lateral: Vec<LateralLink>,
+    /// Input slots of each switch, in round-robin order.
+    inputs: Vec<Vec<Slot>>,
+    /// Output slots of each switch.
+    outputs: Vec<Vec<Slot>>,
+    /// Round-robin pointer per switch output slot.
+    rr: Vec<Vec<usize>>,
+    /// Cycle each switch input slot last had a flit popped (one pop per
+    /// input per cycle).
+    popped_at: Vec<Vec<Cycle>>,
+    /// Per-switch routing scratch: `(output slot, input slot)` of every
+    /// ready input head.
+    scratch: Vec<(usize, usize)>,
+    /// Lateral channels sent on during the current tick.
+    lateral_sent: Vec<usize>,
+    /// Outstanding (master, dir, id) → destination tracking.
+    id_track: IdTracker,
+    id_stall_cycles: u64,
+    tracer: Option<SharedTracer>,
 }
 
 impl XilinxFabric {
     /// Builds the fabric for a configuration.
     pub fn new(cfg: FabricConfig) -> XilinxFabric {
         cfg.validate();
-        let shards = (0..cfg.num_switches).map(|s| SwitchShard::new(&cfg, s)).collect();
-        XilinxFabric { map: ContiguousMap::new(cfg.num_ports(), cfg.port_capacity), shards, cfg }
+        let (n, mps, pps, buses) =
+            (cfg.num_switches, cfg.masters_per_switch, cfg.ports_per_switch, cfg.lateral_buses);
+        let east_of = |nb: usize| (0..2 * buses).map(move |k| Slot::Lateral(east(buses, nb, k)));
+        let west_of = |nb: usize| (0..2 * buses).map(move |k| Slot::Lateral(west(buses, nb, k)));
+        let (mut inputs, mut outputs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for s in 0..n {
+            let masters = (s * mps..(s + 1) * mps).map(Slot::Master);
+            let mcs = (s * pps..(s + 1) * pps).map(Slot::Mc);
+            let mut ins: Vec<Slot> = masters.clone().chain(mcs.clone()).collect();
+            let mut outs: Vec<Slot> = mcs.chain(masters).collect();
+            if s > 0 {
+                ins.extend(east_of(s - 1));
+            }
+            if s + 1 < n {
+                ins.extend(west_of(s));
+                outs.extend(east_of(s));
+            }
+            if s > 0 {
+                outs.extend(west_of(s - 1));
+            }
+            inputs.push(ins);
+            outputs.push(outs);
+        }
+        let links = |count, dead_beats, capacity, latency| {
+            (0..count)
+                .map(|_| SerialLink::new(cfg.port_rate, dead_beats, capacity, latency))
+                .collect::<Vec<_>>()
+        };
+        XilinxFabric {
+            map: ContiguousMap::new(cfg.num_ports(), cfg.port_capacity),
+            master_in: links(n * mps, 0.0, cfg.ingress_capacity, cfg.ingress_latency),
+            master_out: links(n * mps, cfg.dead_beats, cfg.out_capacity, cfg.egress_latency),
+            mc_in: links(n * pps, 0.0, cfg.out_capacity, cfg.mc_link_latency),
+            mc_out: links(n * pps, cfg.dead_beats, cfg.out_capacity, cfg.mc_link_latency),
+            lateral: (0..(n - 1) * 4 * buses)
+                .map(|_| {
+                    LateralLink::new(
+                        cfg.lateral_rate,
+                        cfg.dead_beats,
+                        cfg.lateral_capacity,
+                        cfg.hop_latency,
+                    )
+                })
+                .collect(),
+            rr: outputs.iter().map(|o| vec![0; o.len()]).collect(),
+            popped_at: inputs.iter().map(|i| vec![Cycle::MAX; i.len()]).collect(),
+            inputs,
+            outputs,
+            scratch: Vec::with_capacity(16),
+            lateral_sent: Vec::with_capacity(2 * n * buses),
+            id_track: IdTracker::new(n * mps),
+            id_stall_cycles: 0,
+            tracer: None,
+            cfg,
+        }
     }
 
     /// The configuration this fabric was built with.
@@ -146,30 +253,148 @@ impl XilinxFabric {
         &self.cfg
     }
 
-    #[inline]
-    fn master_shard(&self, m: usize) -> (usize, usize) {
-        (m / self.cfg.masters_per_switch, m % self.cfg.masters_per_switch)
+    /// Every link, lateral channels included.
+    fn links(&self) -> impl Iterator<Item = &SerialLink> {
+        self.master_in
+            .iter()
+            .chain(&self.mc_in)
+            .chain(&self.mc_out)
+            .chain(&self.master_out)
+            .chain(self.lateral.iter().map(LateralLink::link))
     }
 
-    #[inline]
-    fn port_shard(&self, p: usize) -> (usize, usize) {
-        (p / self.cfg.ports_per_switch, p % self.cfg.ports_per_switch)
-    }
-
-    /// Delivers every boundary's pending lateral flits and credits.
-    fn reconcile(&mut self) {
-        for nb in 0..self.shards.len() - 1 {
-            let (a, b) = self.shards.split_at_mut(nb + 1);
-            SwitchShard::reconcile_boundary(&mut a[nb], &mut b[0]);
+    fn in_peek(&self, slot: Slot, now: Cycle) -> Option<&Flit> {
+        match slot {
+            Slot::Master(i) => self.master_in[i].peek(now),
+            Slot::Mc(i) => self.mc_in[i].peek(now),
+            Slot::Lateral(i) => self.lateral[i].peek(now),
         }
     }
 
-    fn merged_stats<'a>(stats: impl Iterator<Item = LinkStats> + 'a) -> LinkStats {
-        let mut total = LinkStats::default();
-        for s in stats {
-            total.merge(&s);
+    fn in_pop(&mut self, slot: Slot, now: Cycle) -> Option<Flit> {
+        match slot {
+            Slot::Master(i) => self.master_in[i].pop(now),
+            Slot::Mc(i) => self.mc_in[i].pop(now),
+            Slot::Lateral(i) => self.lateral[i].pop(now),
         }
-        total
+    }
+
+    fn out_can_send(&self, slot: Slot, now: Cycle) -> bool {
+        match slot {
+            Slot::Master(i) => self.master_out[i].can_send(now),
+            Slot::Mc(i) => self.mc_out[i].can_send(now),
+            Slot::Lateral(i) => self.lateral[i].can_send(now),
+        }
+    }
+
+    fn out_send(&mut self, slot: Slot, now: Cycle, src: u16, cost: u64, flit: Flit) {
+        match slot {
+            Slot::Master(i) => self.master_out[i].send(now, src, cost, flit),
+            Slot::Mc(i) => self.mc_out[i].send(now, src, cost, flit),
+            Slot::Lateral(i) => {
+                self.lateral[i].send(now, src, cost, flit);
+                self.lateral_sent.push(i);
+            }
+        }
+    }
+
+    /// Static lateral-bus assignment of the flit at input `slot` (see the
+    /// module documentation): locally injected traffic maps proportionally
+    /// onto the buses; pass-through traffic stays on the bus it arrived on.
+    fn bus_of(&self, slot: usize) -> usize {
+        let (mps, pps, b) =
+            (self.cfg.masters_per_switch, self.cfg.ports_per_switch, self.cfg.lateral_buses);
+        if slot < mps {
+            return (slot * b / mps).min(b - 1);
+        }
+        if slot < mps + pps {
+            return ((slot - mps) * b / pps).min(b - 1);
+        }
+        // Lateral inputs are laid out `[2*bus + channel]` per group.
+        let rel = slot - mps - pps;
+        (rel % (2 * b)) / 2
+    }
+
+    /// Routes the flit at input `slot` of switch `s` to its output slot.
+    fn route(&self, s: usize, slot: usize, flit: &Flit) -> usize {
+        let (mps, pps) = (self.cfg.masters_per_switch, self.cfg.ports_per_switch);
+        let (dest_switch, local, is_req) = match flit {
+            Flit::Req(t) => {
+                let p = self.map.port_of(t.addr).idx();
+                (p / pps, p % pps, true)
+            }
+            Flit::Resp(c) => {
+                let m = c.txn.master.idx();
+                (m / mps, m % mps, false)
+            }
+        };
+        if dest_switch == s {
+            return if is_req { local } else { pps + local };
+        }
+        // Requests ride the forward channel of their bus; responses the
+        // matching response channel (a flow that went right returns on
+        // right_ret, one that went left on left_ret).
+        let channel = 2 * self.bus_of(slot) + usize::from(!is_req);
+        let east_base = pps + mps;
+        if dest_switch > s {
+            east_base + channel
+        } else {
+            let has_east = s + 1 < self.cfg.num_switches;
+            east_base + usize::from(has_east) * 2 * self.cfg.lateral_buses + channel
+        }
+    }
+
+    /// Arbitrates switch `s` for one cycle, in two passes: pass 1 routes
+    /// each ready input head exactly once into the scratch list; pass 2
+    /// arbitrates each output over the pre-routed candidates (candidate
+    /// heads are fixed for the whole cycle — every latency is >= 1 — and
+    /// popped inputs are excluded).
+    fn tick_switch(&mut self, s: usize, now: Cycle) {
+        self.scratch.clear();
+        let n_in = self.inputs[s].len();
+        for slot in 0..n_in {
+            let Some(head) = self.in_peek(self.inputs[s][slot], now) else {
+                continue;
+            };
+            let out = self.route(s, slot, head);
+            self.scratch.push((out, slot));
+        }
+        if self.scratch.is_empty() {
+            return;
+        }
+        for out_slot in 0..self.outputs[s].len() {
+            let out = self.outputs[s][out_slot];
+            if !self.out_can_send(out, now) {
+                continue;
+            }
+            // Round-robin: the candidate closest after the pointer wins
+            // (one pop per input per cycle).
+            let start = self.rr[s][out_slot];
+            let mut chosen: Option<(usize, usize)> = None; // (rr distance, slot)
+            for &(o, slot) in &self.scratch {
+                if o != out_slot || self.popped_at[s][slot] == now {
+                    continue;
+                }
+                let dist = (slot + n_in - start) % n_in;
+                if chosen.is_none_or(|(d, _)| dist < d) {
+                    chosen = Some((dist, slot));
+                }
+            }
+            if let Some((_, slot)) = chosen {
+                let flit = self.in_pop(self.inputs[s][slot], now).expect("peeked head vanished");
+                self.popped_at[s][slot] = now;
+                let cost = flit.cost_beats();
+                if let (Some(tr), Slot::Lateral(_)) = (&self.tracer, out) {
+                    let (m, seq) = match &flit {
+                        Flit::Req(t) => (t.master.0, t.seq),
+                        Flit::Resp(c) => (c.txn.master.0, c.txn.seq),
+                    };
+                    tr.lateral_hop(now, m, seq);
+                }
+                self.out_send(out, now, slot as u16, cost, flit);
+                self.rr[s][out_slot] = (slot + 1) % n_in;
+            }
+        }
     }
 }
 
@@ -187,18 +412,40 @@ impl Interconnect for XilinxFabric {
     }
 
     fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
-        let (s, _) = self.master_shard(txn.master.idx());
-        self.shards[s].offer_request(now, txn)
+        let m = txn.master.idx();
+        let port = self.map.port_of(txn.addr);
+        if self.id_track.conflicts(m, txn.dir, txn.id.0, port) {
+            self.id_stall_cycles += 1;
+            return Err(txn);
+        }
+        let link = &mut self.master_in[m];
+        if !link.can_send(now) {
+            return Err(txn);
+        }
+        let cost = txn.fwd_link_cycles();
+        let (dir, id) = (txn.dir, txn.id.0);
+        if let Some(tr) = &self.tracer {
+            tr.ingress_accept(now, &txn);
+        }
+        link.send(now, 0, cost, Flit::Req(txn));
+        self.id_track.issue(m, dir, id, port);
+        Ok(())
     }
 
     fn peek_request(&self, now: Cycle, port: PortId) -> Option<&Transaction> {
-        let (s, lp) = self.port_shard(port.idx());
-        self.shards[s].peek_request(now, lp)
+        match self.mc_out[port.idx()].peek(now) {
+            Some(Flit::Req(t)) => Some(t),
+            Some(Flit::Resp(_)) => unreachable!("response on a request link"),
+            None => None,
+        }
     }
 
     fn pop_request(&mut self, now: Cycle, port: PortId) -> Option<Transaction> {
-        let (s, lp) = self.port_shard(port.idx());
-        self.shards[s].pop_request(now, lp)
+        match self.mc_out[port.idx()].pop(now) {
+            Some(Flit::Req(t)) => Some(t),
+            Some(Flit::Resp(_)) => unreachable!("response on a request link"),
+            None => None,
+        }
     }
 
     fn offer_completion(
@@ -207,78 +454,94 @@ impl Interconnect for XilinxFabric {
         port: PortId,
         c: Completion,
     ) -> Result<(), Completion> {
-        let (s, lp) = self.port_shard(port.idx());
-        self.shards[s].offer_completion(now, lp, c)
+        let link = &mut self.mc_in[port.idx()];
+        if !link.can_send(now) {
+            return Err(c);
+        }
+        let cost = c.txn.ret_link_cycles();
+        link.send(now, 0, cost, Flit::Resp(c));
+        Ok(())
     }
 
     fn pop_completion(&mut self, now: Cycle, master: MasterId) -> Option<Completion> {
-        let (s, lm) = self.master_shard(master.idx());
-        self.shards[s].pop_completion(now, lm)
+        match self.master_out[master.idx()].pop(now) {
+            Some(Flit::Resp(c)) => {
+                self.id_track.retire(master.idx(), c.txn.dir, c.txn.id.0);
+                Some(c)
+            }
+            Some(Flit::Req(_)) => unreachable!("request on a completion link"),
+            None => None,
+        }
     }
 
     fn tick(&mut self, now: Cycle) {
-        for sh in &mut self.shards {
-            sh.tick(now);
+        for s in 0..self.cfg.num_switches {
+            self.tick_switch(s, now);
         }
-        self.reconcile();
+        for i in self.lateral_sent.drain(..) {
+            self.lateral[i].note_peak();
+        }
     }
 
     fn drained(&self) -> bool {
-        self.shards.iter().all(|s| s.drained())
+        self.links().all(|l| l.is_empty())
     }
 
     fn attach_tracer(&mut self, tracer: SharedTracer) {
-        for sh in &mut self.shards {
-            sh.attach_tracer(tracer.clone());
-        }
+        self.tracer = Some(tracer);
     }
 
     fn occupancy(&self) -> usize {
-        self.shards.iter().map(|s| s.occupancy()).sum()
+        self.links().map(|l| l.len()).sum()
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // The fabric only does work when some link or lateral ring
-        // delivers its head (see the shard-level horizon for the
-        // argument); outboxes are empty between ticks.
-        let mut best: Option<Cycle> = None;
-        for sh in &self.shards {
-            match sh.next_event(now) {
-                Some(t) if t <= now => return Some(now),
-                Some(t) => best = Some(best.map_or(t, |b: Cycle| b.min(t))),
-                None => {}
-            }
-        }
-        best
+        // The fabric only does work when some link delivers its head.
+        horizon(self.links(), now)
     }
 
     fn for_each_queue_hwm(&self, visit: &mut dyn FnMut(&'static str, usize)) {
-        for sh in &self.shards {
-            sh.for_each_queue_hwm(visit);
+        for l in &self.master_in {
+            visit("ingress", l.high_water());
+        }
+        for l in &self.master_out {
+            visit("egress", l.high_water());
+        }
+        for l in self.mc_in.iter().chain(&self.mc_out) {
+            visit("mc_link", l.high_water());
+        }
+        for l in &self.lateral {
+            visit("lateral", l.high_water());
         }
     }
 
     fn stats(&self) -> FabricStats {
-        let b = self.cfg.lateral_buses;
-        let mut st = FabricStats {
-            ingress: Self::merged_stats(self.shards.iter().map(|s| s.ingress_stats())),
-            egress: Self::merged_stats(self.shards.iter().map(|s| s.egress_stats())),
-            mc_links: Self::merged_stats(self.shards.iter().map(|s| s.mc_link_stats())),
-            lateral_right: Vec::with_capacity(self.shards.len() - 1),
-            lateral_left: Vec::with_capacity(self.shards.len() - 1),
-            id_stall_cycles: self.shards.iter().map(|s| s.id_stall_cycles()).sum(),
+        let merged = |links: &mut dyn Iterator<Item = &SerialLink>| {
+            let mut total = LinkStats::default();
+            for l in links {
+                total.merge(l.stats());
+            }
+            total
         };
-        for nb in 0..self.shards.len() - 1 {
-            // Right-going beats: right bus requests + left bus responses
-            // (both carried by shard nb's eastward senders); left-going
-            // beats symmetrically by shard nb+1's westward senders.
+        let (boundaries, buses) = (self.cfg.num_switches - 1, self.cfg.lateral_buses);
+        let mut st = FabricStats {
+            ingress: merged(&mut self.master_in.iter()),
+            egress: merged(&mut self.master_out.iter()),
+            mc_links: merged(&mut self.mc_in.iter().chain(&self.mc_out)),
+            lateral_right: Vec::with_capacity(boundaries),
+            lateral_left: Vec::with_capacity(boundaries),
+            id_stall_cycles: self.id_stall_cycles,
+        };
+        for nb in 0..boundaries {
+            // Right-going beats: right-bus requests + left-bus responses
+            // (the eastward channels); left-going beats symmetrically.
             let mut right = [LinkStats::default(), LinkStats::default()];
             let mut left = [LinkStats::default(), LinkStats::default()];
-            for bus in 0..b.min(2) {
-                right[bus].merge(self.shards[nb].east_stats(2 * bus).expect("east channel"));
-                right[bus].merge(self.shards[nb].east_stats(2 * bus + 1).expect("east channel"));
-                left[bus].merge(self.shards[nb + 1].west_stats(2 * bus).expect("west channel"));
-                left[bus].merge(self.shards[nb + 1].west_stats(2 * bus + 1).expect("west channel"));
+            for bus in 0..buses.min(2) {
+                for k in [2 * bus, 2 * bus + 1] {
+                    right[bus].merge(self.lateral[east(buses, nb, k)].link().stats());
+                    left[bus].merge(self.lateral[west(buses, nb, k)].link().stats());
+                }
             }
             st.lateral_right.push(right);
             st.lateral_left.push(left);
@@ -287,9 +550,19 @@ impl Interconnect for XilinxFabric {
     }
 
     fn reset_stats(&mut self) {
-        for sh in &mut self.shards {
-            sh.reset_stats();
+        for l in self
+            .master_in
+            .iter_mut()
+            .chain(&mut self.mc_in)
+            .chain(&mut self.mc_out)
+            .chain(&mut self.master_out)
+        {
+            l.reset_stats();
         }
+        for l in &mut self.lateral {
+            l.reset_stats();
+        }
+        self.id_stall_cycles = 0;
     }
 }
 
@@ -404,6 +677,24 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 0), (5, 1), (31, 31)]);
+    }
+
+    #[test]
+    fn remote_request_occupies_the_lateral_channel() {
+        let mut f = fabric();
+        let mut b = TxnBuilder::new(MasterId(0));
+        // Port 4 lives on switch 1: the request must cross boundary 0 on
+        // the eastward request channel of bus 0.
+        f.offer_request(0, read_txn(&mut b, 4 * (256u64 << 20), 0)).unwrap();
+        let lane = east(f.cfg.lateral_buses, 0, 0);
+        let crossed = (0..20).find(|&now| {
+            f.tick(now);
+            !f.lateral[lane].link().is_empty()
+        });
+        assert_eq!(crossed, Some(f.cfg.ingress_latency), "routed as soon as ingress delivers");
+        assert_eq!(f.occupancy(), 1);
+        assert!(!f.drained());
+        assert_eq!(f.stats().lateral_right[0][0].flits, 1);
     }
 
     #[test]
